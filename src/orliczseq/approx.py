@@ -123,6 +123,12 @@ def jackson_approximant(f: CoeffSeq, alpha, n: int) -> CoeffSeq:
     frequency with |k| >= n is annihilated and the result lies in the
     degree-(n-1) class.
     """
+    mult = residual_multipliers(f, alpha, n)
+    return CoeffSeq({k: c * (1.0 - mult[k]) for k, c in f.items()})
+
+
+def residual_multipliers(f: CoeffSeq, alpha, n: int) -> dict:
+    """The factors m_alpha(k) with f_k - sigma_k = m_alpha(k) * f_k, keyed by k."""
     alpha = _as_positive_int(alpha)
     if n < 2:
         raise ValueError("need n >= 2 so the kernel order n - 1 is positive")
@@ -130,30 +136,10 @@ def jackson_approximant(f: CoeffSeq, alpha, n: int) -> CoeffSeq:
     center = kern[0].real
     signs = [(-1) ** j * binom(alpha, j) for j in range(alpha + 1)]
     out = {}
-    for k, c in f.items():
+    for k in f.support:
         m = 0.0
         for j, s in enumerate(signs):
-            if j == 0:
-                m += s
-            else:
-                m += s * (kern[j * k].real / center)
-        out[k] = c * (1.0 - m)
-    return CoeffSeq(out)
-
-
-def residual_multipliers(f: CoeffSeq, alpha, n: int) -> dict:
-    """The factors m_alpha(k) with f_k - sigma_k = m_alpha(k) * f_k; test hook."""
-    alpha = _as_positive_int(alpha)
-    if n < 2:
-        raise ValueError("need n >= 2 so the kernel order n - 1 is positive")
-    _, kern = jackson_kernel(n - 1, r=alpha)
-    center = kern[0].real
-    out = {}
-    for k, _ in f.items():
-        m = 0.0
-        for j in range(alpha + 1):
-            q = 1.0 if j == 0 else kern[j * k].real / center
-            m += (-1) ** j * binom(alpha, j) * q
+            m += s * (1.0 if j == 0 else kern[j * k].real / center)
         out[k] = m
     return out
 
@@ -181,8 +167,6 @@ def psi_direct_ratio(f: CoeffSeq, phi, psi: PsiWeights, n: int, *, rtol: float =
     explicit weights it is taken over the support of f, which is the whole
     index set that matters for a finitely supported sequence.
     """
-    if n < 1:
-        raise ValueError("approximation order must be >= 1")
     lhs = best_approx(f, phi, n, rtol=rtol)
     eps = psi.max_abs_from(n, f.support)
     bound = eps * best_approx(psi_derivative(f, psi), phi, n, rtol=rtol)

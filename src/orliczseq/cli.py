@@ -9,7 +9,6 @@ significant digits).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from pathlib import Path
@@ -94,17 +93,17 @@ def _load_input(parser, args):
         parser.error(str(exc))
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+def _emit(path, text: str) -> None:
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _emit_value(args, value: float) -> None:
+def _emit_value(path, value: float) -> None:
     # scalars are printed just inside the default solver tolerance so that
     # bracket-midpoint noise in the trailing digits does not leak into output
-    _emit(args, repr(float(f"{float(value):.11g}")) + "\n")
+    _emit(path, repr(float(f"{float(value):.11g}")) + "\n")
 
 
 def _require(parser, args, *names):
@@ -121,29 +120,30 @@ def run(argv=None) -> int:
         return _dispatch(parser, args)
     except SystemExit as exc:
         return _EXIT_USAGE if exc.code else _EXIT_OK
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
+        # arithmetic errors come from parameters beyond the float range, such
+        # as a gauge exponent of 1e308 or an order whose modulus underflows to 0
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 
 
+# Commands that print one number: (required flags, value of (args, phi, f)).
+_SCALAR = {
+    "norm": ((), lambda args, phi, f: orlicz.luxemburg_norm(phi, f, rtol=args.tol)),
+    "onorm": ((), lambda args, phi, f: orlicz.orlicz_norm(phi, f, rtol=args.tol)),
+    "en": (("n",), lambda args, phi, f: approx.best_approx(f, phi, args.n, rtol=args.tol)),
+    "omega": (("delta",), lambda args, phi, f: fracdiff.modulus(
+        f, phi, args.alpha, args.delta, grid=args.grid, rtol=args.tol)),
+}
+
+
 def _dispatch(parser, args) -> int:
     cmd = args.command
-    if cmd == "norm":
+    if cmd in _SCALAR:
+        required, value = _SCALAR[cmd]
+        _require(parser, args, *required)
         phi = _load_gauge(parser, args)
-        _emit_value(args, orlicz.luxemburg_norm(phi, _load_input(parser, args), rtol=args.tol))
-    elif cmd == "onorm":
-        phi = _load_gauge(parser, args)
-        _emit_value(args, orlicz.orlicz_norm(phi, _load_input(parser, args), rtol=args.tol))
-    elif cmd == "en":
-        _require(parser, args, "n")
-        phi = _load_gauge(parser, args)
-        _emit_value(args, approx.best_approx(_load_input(parser, args), phi, args.n, rtol=args.tol))
-    elif cmd == "omega":
-        _require(parser, args, "delta")
-        phi = _load_gauge(parser, args)
-        f = _load_input(parser, args)
-        _emit_value(args, fracdiff.modulus(f, phi, args.alpha, args.delta,
-                                           grid=args.grid, rtol=args.tol))
+        _emit_value(args.output, value(args, phi, _load_input(parser, args)))
     elif cmd == "kfunc":
         _require(parser, args, "delta")
         phi = _load_gauge(parser, args)
@@ -151,37 +151,30 @@ def _dispatch(parser, args) -> int:
         est = kfunc.k_functional(f, phi, args.alpha, args.delta, args.n, rtol=args.tol)
         payload = {"value": est.value, "minimizer_degree": est.minimizer_degree,
                    "candidates_tried": est.candidates_tried, "refine_used": est.refine_used}
-        _emit(args, verify.format_json(payload) + "\n")
+        _emit(args.output, verify.format_json(payload) + "\n")
     elif cmd == "kernel":
         _require(parser, args, "n", "r")
+        if not args.r.is_integer():
+            parser.error("kernel needs an integer --r")
         spec, kern = approx.jackson_kernel(args.n, int(args.r))
-        buf = io.StringIO()
-        spectrum.write_coeffs(kern, buf)
+        spectrum.write_coeffs(kern, args.output or sys.stdout)
         if args.output:
-            Path(args.output).write_text(buf.getvalue(), encoding="utf-8")
             meta = {"n": spec.n, "k0": spec.k0, "p": spec.p, "b_p": spec.b_p,
                     "degree": spec.degree}
             sys.stdout.write(verify.format_json(meta) + "\n")
-        else:
-            sys.stdout.write(buf.getvalue())
     elif cmd == "sigma":
         _require(parser, args, "n")
         f = _load_input(parser, args)
         sig = approx.jackson_approximant(f, args.alpha, args.n)
-        buf = io.StringIO()
-        spectrum.write_coeffs(sig, buf)
+        spectrum.write_coeffs(sig, args.output or sys.stdout)
         if args.output:
             # coefficients go to the file; the residual norm goes to stdout
-            Path(args.output).write_text(buf.getvalue(), encoding="utf-8")
             phi = _load_gauge(parser, args)
-            residual = orlicz.luxemburg_norm(phi, f - sig, rtol=args.tol)
-            sys.stdout.write(repr(float(f"{residual:.11g}")) + "\n")
-        else:
-            sys.stdout.write(buf.getvalue())
+            _emit_value(None, orlicz.luxemburg_norm(phi, f - sig, rtol=args.tol))
     elif cmd == "verify":
         report = _run_verify(parser, args)
         text = report.to_json() if args.format == "json" else report.to_csv()
-        _emit(args, text)
+        _emit(args.output, text)
         return _EXIT_OK if report.passed else _EXIT_FAILED
     return _EXIT_OK
 
@@ -189,15 +182,16 @@ def _dispatch(parser, args) -> int:
 def _run_verify(parser, args):
     phi = _load_gauge(parser, args)
     kind = args.kind
+    grid = min(args.grid, 128)
     if kind == "direct":
         return verify.direct_report(args.family, args.alpha, phi, n_max=args.n_max,
-                                    seed=args.seed, grid=min(args.grid, 128), rtol=args.tol)
+                                    seed=args.seed, grid=grid, rtol=args.tol)
     if kind == "inverse":
         return verify.inverse_report(args.family, args.alpha, phi, n_max=args.n_max,
-                                     seed=args.seed, grid=min(args.grid, 128), rtol=args.tol)
+                                     seed=args.seed, grid=grid, rtol=args.tol)
     if kind == "equiv":
         return verify.equivalence_report(args.family, args.alpha, phi, seed=args.seed,
-                                         grid=min(args.grid, 128), rtol=args.tol)
+                                         grid=grid, rtol=args.tol)
     if kind == "balpha":
         _require(parser, args, "r")
         return verify.balpha_check(verify.MajorantOmega.power(args.r), args.alpha, args.n_max)
@@ -205,11 +199,11 @@ def _run_verify(parser, args):
         _require(parser, args, "r")
         f = _load_input(parser, args)
         return verify.classify(f, phi, verify.MajorantOmega.power(args.r), args.alpha,
-                               n_max=args.n_max, grid=min(args.grid, 128), rtol=args.tol)
+                               n_max=args.n_max, grid=grid, rtol=args.tol)
     if kind == "rates":
         _require(parser, args, "beta")
         return verify.rates_report(args.beta, args.alpha, phi, band=args.band,
-                                   j_min=3, j_max=9, grid=min(args.grid, 128), rtol=args.tol)
+                                   j_min=3, j_max=9, grid=grid, rtol=args.tol)
     raise AssertionError(kind)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._search import golden_max
-from .orlicz import _lux_rows, luxemburg_norm
+from .orlicz import _abs_values, _lux_norm, _lux_rows, luxemburg_norm
 from .spectrum import CoeffSeq
 
 __all__ = [
@@ -82,8 +82,6 @@ def frac_difference(f: CoeffSeq, alpha: float, h: float) -> CoeffSeq:
     """
     _check_order(alpha)
     ks, cs = f.as_arrays()
-    if ks.size == 0:
-        return CoeffSeq()
     z = 1.0 - np.exp(-1j * ks * float(h))
     mult = np.where(z == 0, 0j, np.power(np.where(z == 0, 1j, z), alpha))
     return CoeffSeq(zip(ks.tolist(), (mult * cs).tolist()))
@@ -99,21 +97,14 @@ def frac_difference_series(f: CoeffSeq, alpha: float, h: float, j_max: int) -> C
     if j_max < 0:
         raise ValueError("series cutoff must be nonnegative")
     ks, cs = f.as_arrays()
-    if ks.size == 0:
-        return CoeffSeq()
     coeffs = _signed_coeffs(alpha, int(j_max))
     j = np.arange(int(j_max) + 1)
     mult = np.exp(np.outer(-1j * ks * float(h), j)) @ coeffs
     return CoeffSeq(zip(ks.tolist(), (mult * cs).tolist()))
 
 
-def _norm_at_shift(ks, absc, phi, alpha, h, rtol):
-    w = np.abs(2.0 * np.sin(ks * (0.5 * h))) ** alpha * absc
-    return float(_lux_rows(w[None, :], phi, rtol=rtol)[0])
-
-
 def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
-            *, rtol: float = 1e-12, refine: bool = True) -> float:
+            *, rtol: float = 1e-12) -> float:
     """Smoothness modulus sup_{|h| <= delta} of the difference norm.
 
     alpha = 0 returns the plain norm of f.  The shift norm depends on h only
@@ -131,12 +122,9 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
     grid = int(grid)
     if grid < 2:
         raise ValueError("need at least two grid points")
-    ks, cs = f.as_arrays()
+    ks, absc = _abs_values(f)
     if ks.size == 0:
         return 0.0
-    absc = np.abs(cs)
-    if not np.all(np.isfinite(absc)):
-        raise ValueError("sequence contains non-finite coefficients")
     hs = np.linspace(0.0, float(delta), grid)
     block = max(2, 4_000_000 // max(ks.size, 1))
     g = np.empty(grid)
@@ -145,13 +133,8 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
         w = np.abs(2.0 * np.sin(np.outer(part, ks) * 0.5)) ** alpha * absc[None, :]
         g[i : i + block] = _lux_rows(w, phi, rtol=rtol)
     i_best = int(np.argmax(g))
-    best = float(g[i_best])
-    if refine:
-        lo = hs[max(i_best - 1, 0)]
-        hi = hs[min(i_best + 1, grid - 1)]
-        _, refined = golden_max(
-            lambda h: _norm_at_shift(ks, absc, phi, alpha, h, rtol),
-            lo, hi, rtol=1e-10,
-        )
-        best = max(best, float(refined))
-    return best
+    _, refined = golden_max(
+        lambda h: _lux_norm(np.abs(2.0 * np.sin(ks * (0.5 * h))) ** alpha * absc, phi, rtol),
+        hs[max(i_best - 1, 0)], hs[min(i_best + 1, grid - 1)], rtol=1e-10,
+    )
+    return max(float(g[i_best]), float(refined))

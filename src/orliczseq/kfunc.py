@@ -17,7 +17,7 @@ import numpy as np
 
 from ._search import golden_min
 from .fracdiff import frac_difference
-from .orlicz import _lux_rows, luxemburg_norm
+from .orlicz import _abs_values, _lux_norm, luxemburg_norm
 from .spectrum import CoeffSeq, PsiWeights, psi_derivative
 
 __all__ = ["KEstimate", "k_functional", "difference_derivative_bracket"]
@@ -40,12 +40,6 @@ class KEstimate:
     refine_used: bool
 
 
-def _lux_values(vals, phi, rtol):
-    if vals.size == 0:
-        return 0.0
-    return float(_lux_rows(vals[None, :], phi, rtol=rtol)[0])
-
-
 def k_functional(f: CoeffSeq, phi, alpha: float, delta: float, n_band: int | None = None,
                  *, polish: bool = True, rtol: float = 1e-12) -> KEstimate:
     """Minimize ||f - h|| + delta**alpha ||h^(alpha)|| over band-limited h.
@@ -61,10 +55,7 @@ def k_functional(f: CoeffSeq, phi, alpha: float, delta: float, n_band: int | Non
         raise ValueError("derivative order must be positive")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    ks, cs = f.as_arrays()
-    absc = np.abs(cs)
-    if absc.size and not np.all(np.isfinite(absc)):
-        raise ValueError("sequence contains non-finite coefficients")
+    ks, absc = _abs_values(f)
     if n_band is None:
         n_band = f.max_freq
     n_band = int(n_band)
@@ -76,15 +67,12 @@ def k_functional(f: CoeffSeq, phi, alpha: float, delta: float, n_band: int | Non
 
     # h = 0 plus the degrees where the partial sum actually changes.
     radii = sorted({int(r) for r in absk if r <= n_band} | ({0} if n_band >= 0 else set()))
-    candidates = [(-1, _lux_values(absc, phi, rtol))]
+    candidates = [(-1, _lux_norm(absc, phi, rtol))]
     for m in radii:
         inside = absk <= m
-        val = _lux_values(absc[~inside], phi, rtol) + dpow * _lux_values(deriv_w[inside & (absk > 0)], phi, rtol)
+        val = _lux_norm(absc[~inside], phi, rtol) + dpow * _lux_norm(deriv_w[inside & (absk > 0)], phi, rtol)
         candidates.append((m, val))
-    best_m, best_val = candidates[0]
-    for m, val in candidates[1:]:
-        if val < best_val:
-            best_m, best_val = m, val
+    best_m, best_val = min(candidates, key=lambda c: c[1])
 
     refined = False
     if polish and best_m >= 0 and absc.size:
@@ -93,7 +81,7 @@ def k_functional(f: CoeffSeq, phi, alpha: float, delta: float, n_band: int | Non
 
         def objective():
             res = absc * np.abs(1.0 - c)
-            return _lux_values(res, phi, rtol) + dpow * _lux_values((deriv_w * c)[inside & (absk > 0)], phi, rtol)
+            return _lux_norm(res, phi, rtol) + dpow * _lux_norm((deriv_w * c)[inside & (absk > 0)], phi, rtol)
 
         coords = np.flatnonzero(inside)
         for _ in range(3):

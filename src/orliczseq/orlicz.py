@@ -43,6 +43,10 @@ INF = math.inf
 # Maximizer search for the numeric conjugate gives up (declares +inf) here.
 _UNBOUNDED_U = 1e30
 
+# Cap on the Luxemburg bisection: 200 halvings take any bracket far below
+# double precision.
+_LUX_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class OrliczFunction:
@@ -269,10 +273,14 @@ def _rho_rows(vals, a, phi):
         return np.asarray(phi.eval(vals / a[:, None]), dtype=float).sum(axis=1)
 
 
-def _lux_block(vals, phi, rtol, max_iter):
+def _lux_rows(vals, phi, *, rtol=1e-12):
+    """Luxemburg norms of the rows of a nonnegative 2-d array."""
+    vals = np.asarray(vals, dtype=float)
+    out = np.zeros(vals.shape[0])
+    if vals.shape[1] == 0:
+        return out
     row_max = vals.max(axis=1)
     row_sum = vals.sum(axis=1)
-    out = np.zeros(vals.shape[0])
     active = row_max > 0
     if not np.any(active):
         return out
@@ -284,7 +292,7 @@ def _lux_block(vals, phi, rtol, max_iter):
     # convexity with M(0)=0 pushes the whole sum below 1.
     lo = row_max[active] / m_one
     hi = row_sum[active] / m_frac
-    for _ in range(max_iter):
+    for _ in range(_LUX_MAX_ITER):
         mid = 0.5 * (lo + hi)
         below = _rho_rows(w, mid, phi) <= 1.0
         hi = np.where(below, mid, hi)
@@ -295,27 +303,18 @@ def _lux_block(vals, phi, rtol, max_iter):
     return out
 
 
-def _lux_rows(vals, phi, *, rtol=1e-12, max_iter=200):
-    """Luxemburg norms of the rows of a nonnegative 2-d array."""
-    vals = np.asarray(vals, dtype=float)
-    rows, cols = vals.shape
-    if cols == 0:
-        return np.zeros(rows)
-    block = max(1, 4_000_000 // max(cols, 1))
-    if rows <= block:
-        return _lux_block(vals, phi, rtol, max_iter)
-    out = np.empty(rows)
-    for i in range(0, rows, block):
-        out[i : i + block] = _lux_block(vals[i : i + block], phi, rtol, max_iter)
-    return out
+def _lux_norm(a, phi, rtol):
+    """Luxemburg norm of one nonnegative 1-d array; 0 when it is empty."""
+    return float(_lux_rows(a[None, :], phi, rtol=rtol)[0])
 
 
 def _abs_values(f):
-    _, cs = f.as_arrays()
+    """Support and coefficient magnitudes of f; rejects non-finite coefficients."""
+    ks, cs = f.as_arrays()
     a = np.abs(cs)
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(a)):
         raise ValueError("sequence contains non-finite coefficients")
-    return a
+    return ks, a
 
 
 def luxemburg_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
@@ -324,10 +323,7 @@ def luxemburg_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
     The map a -> sum M(|c_k|/a) is nonincreasing, so plain bisection applies;
     the result is the midpoint of the final bracket at relative width rtol.
     """
-    a = _abs_values(f)
-    if a.size == 0:
-        return 0.0
-    return float(_lux_rows(a[None, :], phi, rtol=rtol)[0])
+    return _lux_norm(_abs_values(f)[1], phi, rtol)
 
 
 # -- Orlicz (dual) norm ----------------------------------------------------------
@@ -343,10 +339,10 @@ def orlicz_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
     the capped evaluation is returned; the cap scales with 1/||f|| so the
     absolute error stays ~1e-18 of the norm.
     """
-    a = _abs_values(f)
+    _, a = _abs_values(f)
     if a.size == 0:
         return 0.0
-    lux = float(_lux_rows(a[None, :], phi, rtol=rtol)[0])
+    lux = _lux_norm(a, phi, rtol)
 
     def g(kappa):
         with np.errstate(over="ignore"):
@@ -385,12 +381,9 @@ def dual_witness(phi: OrliczFunction, f, *, rtol: float = 1e-12):
     dual norm of the scaled sequence.  Feasibility requires the unit-dual-norm
     scaling; scaling by the Luxemburg norm breaks it for fast-growing gauges.
     """
-    ks, cs = f.as_arrays()
-    a = np.abs(cs)
+    ks, a = _abs_values(f)
     if a.size == 0:
         raise ValueError("the zero sequence has no dual witness")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("sequence contains non-finite coefficients")
     norm = orlicz_norm(phi, f, rtol=rtol)
     lam = np.asarray(phi.right_derivative(a / norm), dtype=float)
     return [(int(k), float(v)) for k, v in zip(ks, lam)]

@@ -9,6 +9,7 @@ only enters when a signal is ingested from samples.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -247,7 +248,7 @@ def analyze_samples(samples) -> CoeffSeq:
 
     Returns coefficients for |k| <= (N-1)//2, which is exact (to roundoff)
     whenever the samples come from a trigonometric polynomial inside that
-    alias-free band.  Plain O(N^2) summation; fine at desk scale.
+    alias-free band.
     """
     s = np.asarray(list(samples), dtype=np.complex128)
     if s.ndim != 1 or s.size == 0:
@@ -255,9 +256,7 @@ def analyze_samples(samples) -> CoeffSeq:
     n = s.size
     half = (n - 1) // 2
     ks = np.arange(-half, half + 1)
-    j = np.arange(n)
-    basis = np.exp(-2j * np.pi * np.outer(ks, j) / n)
-    coeffs = basis @ s / n
+    coeffs = np.fft.fft(s)[ks % n] / n
     return CoeffSeq(zip(ks.tolist(), coeffs.tolist()))
 
 
@@ -270,7 +269,8 @@ def max_abs_diff(f: CoeffSeq, g: CoeffSeq) -> float:
 # -- JSON-lines coefficient files --------------------------------------------
 #
 # One frequency per line: {"k": -3, "re": 0.5, "im": 0.0}.  The writer emits
-# the support in ascending k; the reader drops exact zeros.
+# the support in ascending k; the reader requires strictly ascending k and
+# finite values, and drops exact zeros.
 
 _LINE_KEYS = {"k", "re", "im"}
 
@@ -304,9 +304,12 @@ def _read_lines(fh, name):
         if not isinstance(obj, dict) or set(obj) != _LINE_KEYS:
             raise ValueError(f"{name}:{lineno}: expected exactly the keys k, re, im")
         k, re, im = obj["k"], obj["re"], obj["im"]
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ValueError(f"{name}:{lineno}: k must be an integer")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
-            raise ValueError(f"{name}:{lineno}: re and im must be numbers")
+        if not isinstance(k, int) or isinstance(k, bool) or abs(k) >= 2**63:
+            raise ValueError(f"{name}:{lineno}: k must be an integer below 2**63 in magnitude")
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in (re, im)):
+            raise ValueError(f"{name}:{lineno}: re and im must be numbers and finite")
+        if pairs and k <= pairs[-1][0]:
+            kind = "duplicate" if k == pairs[-1][0] else "descending"
+            raise ValueError(f"{name}:{lineno}: {kind} k={k}; k must strictly ascend")
         pairs.append((k, complex(re, im)))
     return CoeffSeq(pairs)

@@ -155,9 +155,14 @@ def _running_sup_stabilizes(ratios, frac=0.25, tol=0.05):
     return sup_early >= (1.0 - tol) * sup_all, sup_early, sup_all
 
 
-def _loglog_slope(xs, ys, last_fraction=0.5):
-    """Least-squares slope of log y against log x over the trailing points."""
-    pairs = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0 and math.isfinite(y)]
+def _trailing_slope(xs, ys, last_fraction=0.5, *, log_y=True):
+    """Least-squares slope of log y against log x over the trailing points.
+
+    With log_y false the fit is of y itself against log x, which flags
+    logarithmic divergence.
+    """
+    pairs = [(x, y) for x, y in zip(xs, ys)
+             if x > 0 and math.isfinite(y) and (y > 0 or not log_y)]
     if len(pairs) < 3:
         return 0.0
     start = int(len(pairs) * (1.0 - last_fraction))
@@ -165,22 +170,15 @@ def _loglog_slope(xs, ys, last_fraction=0.5):
     if len(pairs) < 3:
         return 0.0
     lx = np.log([p[0] for p in pairs])
-    ly = np.log([p[1] for p in pairs])
-    return float(np.polyfit(lx, ly, 1)[0])
+    y = [p[1] for p in pairs]
+    return float(np.polyfit(lx, np.log(y) if log_y else np.array(y), 1)[0])
 
 
-def _semilog_growth(xs, ys, last_fraction=0.5):
-    """Slope of y against log x over the trailing points (flags log divergence)."""
-    pairs = [(x, y) for x, y in zip(xs, ys) if x > 0 and math.isfinite(y)]
-    if len(pairs) < 3:
-        return 0.0
-    start = int(len(pairs) * (1.0 - last_fraction))
-    pairs = pairs[start:]
-    if len(pairs) < 3:
-        return 0.0
-    lx = np.log([p[0] for p in pairs])
-    y = np.array([p[1] for p in pairs])
-    return float(np.polyfit(lx, y, 1)[0])
+def _log_orders(n_max, num):
+    """Distinct integer parts of num log-spaced points on [1, n_max]."""
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
+    return np.unique(np.geomspace(1, n_max, num=num).astype(int)).tolist()
 
 
 # -- majorants ------------------------------------------------------------------------
@@ -258,6 +256,11 @@ class MajorantOmega:
 # -- seeded families -------------------------------------------------------------------
 
 
+def _normal_coeffs(rng, ks) -> CoeffSeq:
+    """Standard complex normal coefficients on the support ks."""
+    return CoeffSeq.from_arrays(ks, rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size))
+
+
 def _gen_sparse(rng) -> CoeffSeq:
     """Support: 1..12 frequencies drawn without replacement from |k| <= 64;
     coefficients: standard complex normal.  Resamples until some k != 0 exists."""
@@ -265,25 +268,19 @@ def _gen_sparse(rng) -> CoeffSeq:
         m = int(rng.integers(1, 13))
         ks = rng.choice(np.arange(-64, 65), size=m, replace=False)
         if np.any(ks != 0):
-            break
-    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return CoeffSeq(zip(ks.tolist(), c.tolist()))
+            return _normal_coeffs(rng, ks)
 
 
 def _gen_band(rng) -> CoeffSeq:
     """Support: the full band |k| <= B with B drawn in 8..24; coefficients:
     standard complex normal."""
     b = int(rng.integers(8, 25))
-    ks = np.arange(-b, b + 1)
-    c = rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)
-    return CoeffSeq(zip(ks.tolist(), c.tolist()))
+    return _normal_coeffs(rng, np.arange(-b, b + 1))
 
 
 def _gen_lacunary(rng) -> CoeffSeq:
     """Support: +-2**j for j = 0..6; coefficients: standard complex normal."""
-    ks = np.concatenate([2 ** np.arange(7), -(2 ** np.arange(7))])
-    c = rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)
-    return CoeffSeq(zip(ks.tolist(), c.tolist()))
+    return _normal_coeffs(rng, np.concatenate([2 ** np.arange(7), -(2 ** np.arange(7))]))
 
 
 def _gen_poly_decay(rng) -> CoeffSeq:
@@ -333,13 +330,13 @@ def balpha_check(omega: MajorantOmega, alpha: float, n_max: int) -> Report:
         raise ValueError("need n_max >= 2")
     omega.validate()
     ns = np.arange(1, n_max + 1)
-    terms = ns.astype(float) ** (alpha - 1.0) * np.array([omega(1.0 / v) for v in ns])
-    partial = np.cumsum(terms)
-    denom = ns.astype(float) ** alpha * np.array([omega(1.0 / n) for n in ns])
+    w = np.array([omega(1.0 / n) for n in ns])
+    partial = np.cumsum(ns.astype(float) ** (alpha - 1.0) * w)
+    denom = ns.astype(float) ** alpha * w
     q = partial / denom
     med = float(np.median(q))
     qmax = float(np.max(q))
-    growth = _semilog_growth(ns.tolist(), q.tolist())
+    growth = _trailing_slope(ns.tolist(), q.tolist(), log_y=False)
 
     report = Report(
         name="balpha",
@@ -347,7 +344,7 @@ def balpha_check(omega: MajorantOmega, alpha: float, n_max: int) -> Report:
                 "median": med, "max": qmax, "growth_per_efold": growth},
         tolerance=10.0,
     )
-    keep = set(np.unique(np.geomspace(1, n_max, num=min(n_max, 96)).astype(int)).tolist())
+    keep = set(_log_orders(n_max, min(n_max, 96)))
     keep.add(int(ns[np.argmax(q)]))
     for n, qn in zip(ns.tolist(), q.tolist()):
         if n in keep:
@@ -399,8 +396,8 @@ def classify(f_or_errors, phi: OrliczFunction, omega: MajorantOmega, alpha: floa
     # Boundedness here means "no systematic growth": decaying ratios are in
     # class, so the verdict rests on the trailing log-log slope, not on the
     # spread between max and median.
-    slope_e = _loglog_slope(ns, ratios_e)
-    keep = set(np.unique(np.geomspace(1, n_max, num=min(n_max, 64)).astype(int)).tolist())
+    slope_e = _trailing_slope(ns, ratios_e)
+    keep = set(_log_orders(n_max, min(n_max, 64)))
     for n, e, r in zip(ns, errors, ratios_e):
         if n in keep:
             report.add(f"En n={n}", e, omega(1.0 / n), r, math.isfinite(r))
@@ -418,7 +415,7 @@ def classify(f_or_errors, phi: OrliczFunction, omega: MajorantOmega, alpha: floa
             r = w / omega(float(d))
             ratios_w.append(r)
             report.add(f"omega delta={d:.6g}", w, omega(float(d)), r, math.isfinite(r))
-        slope_w = _loglog_slope([1.0 / d for d in deltas][::-1], ratios_w[::-1])
+        slope_w = _trailing_slope([1.0 / d for d in deltas][::-1], ratios_w[::-1])
         omega_ok = all(math.isfinite(r) for r in ratios_w) and slope_w <= 0.15
         report.add("omega-growth", slope_w, 0.15, slope_w / 0.15, slope_w <= 0.15)
         # The two characterizations must agree; a split verdict is a counterexample
@@ -474,7 +471,7 @@ def rates_report(beta: float, alpha: float, phi: OrliczFunction, band: int = 409
 
     if beta != alpha:
         expected = min(alpha, beta)
-        slope = -_loglog_slope([1.0 / t for t in ts], omegas, last_fraction=1.0)
+        slope = -_trailing_slope([1.0 / t for t in ts], omegas, last_fraction=1.0)
         report.add("slope", slope, expected, slope / expected, abs(slope - expected) <= 0.15)
         report.empirical_constant = slope
     else:
@@ -488,11 +485,6 @@ def rates_report(beta: float, alpha: float, phi: OrliczFunction, band: int = 409
 # -- inequality sweeps ------------------------------------------------------------------------
 
 
-def _sweep_ns(n_max):
-    ns = np.unique(np.geomspace(1, n_max, num=10).astype(int))
-    return ns.tolist()
-
-
 # Deterministic near-extremal members swept ahead of the random draws: single
 # harmonics drive the ratio constants close to their essential suprema, so
 # anchoring them first makes the running-sup stabilization a property of the
@@ -501,18 +493,29 @@ def _sweep_ns(n_max):
 # inverse comparison the envelope 2**alpha n**alpha / sum(nu**(alpha-1)) is
 # attained while n <= k/pi, so the band-edge harmonic k = 64 dominates every
 # draw whose spectrum stays inside |k| <= 64.
-_PROBES = [("harmonic k=1", CoeffSeq({1: 1.0})),
-           ("harmonic k=3", CoeffSeq({3: 1.0})),
-           ("harmonic k=16", CoeffSeq({16: 1.0})),
-           ("harmonic k=64", CoeffSeq({64: 1.0}))]
+_PROBES = [(f"harmonic k={k}", CoeffSeq({k: 1.0})) for k in (1, 3, 16, 64)]
 
 
-def _sweep_members(family, rng, num_funcs):
-    gen = generator(family)
-    members = list(_PROBES)
-    for i in range(num_funcs):
-        members.append((f"{family}[{i}]", gen(rng)))
-    return members
+def _sweep(report, family, num_funcs, seed, rows):
+    """Add the rows of every swept member to the report, then the stabilization row.
+
+    rows(f) yields (suffix, lhs, rhs, ok) for one member; the row's ratio is
+    lhs / rhs.  Members without a nonconstant frequency are skipped.  Sets the
+    empirical constant to the running sup and returns the ratios.
+    """
+    gen, rng = generator(family), np.random.default_rng(seed)
+    members = _PROBES + [(f"{family}[{i}]", gen(rng)) for i in range(num_funcs)]
+    ratios = []
+    for label, f in members:
+        if f.max_freq == 0:
+            continue
+        for suffix, lhs, rhs, ok in rows(f):
+            ratios.append(lhs / rhs)
+            report.add(f"{label} {suffix}", lhs, rhs, ratios[-1], ok)
+    ok, sup_early, sup_all = _running_sup_stabilizes(ratios)
+    report.add("stabilization", sup_early, 0.95 * sup_all, sup_early / sup_all if sup_all else 1.0, ok)
+    report.empirical_constant = sup_all
+    return ratios
 
 
 def direct_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int = 128,
@@ -524,8 +527,6 @@ def direct_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int 
     constant is finite and the running sup stabilizes (the last quarter of
     the samples changes it by under 5%).
     """
-    rng = np.random.default_rng(seed)
-    ns = _sweep_ns(n_max)
     report = Report(
         name="direct",
         params={"family": family, "alpha": float(alpha), "orlicz": phi.spec_dict(),
@@ -533,19 +534,15 @@ def direct_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int 
                 "grid": int(grid), "search": "uniform-grid+golden-refine"},
         tolerance=0.05,
     )
-    ratios = []
-    for label, f in _sweep_members(family, rng, num_funcs):
-        if f.max_freq == 0:
-            continue
+    ns = _log_orders(n_max, 10)
+
+    def rows(f):
         for n in ns:
             e = best_approx(f, phi, n, rtol=rtol)
             w = modulus(f, phi, alpha, 1.0 / n, grid=grid, rtol=rtol)
-            r = e / w
-            ratios.append(r)
-            report.add(f"{label} n={n}", e, w, r, math.isfinite(r))
-    ok, sup_early, sup_all = _running_sup_stabilizes(ratios)
-    report.add("stabilization", sup_early, 0.95 * sup_all, sup_early / sup_all if sup_all else 1.0, ok)
-    report.empirical_constant = sup_all
+            yield f"n={n}", e, w, math.isfinite(e / w)
+
+    _sweep(report, family, num_funcs, seed, rows)
     return report.finalize()
 
 
@@ -555,8 +552,6 @@ def inverse_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int
 
     Ratio recorded: omega_alpha(f, 1/n) * n**alpha / sum_{nu<=n} nu**(alpha-1) E_nu.
     """
-    rng = np.random.default_rng(seed)
-    ns = _sweep_ns(n_max)
     report = Report(
         name="inverse",
         params={"family": family, "alpha": float(alpha), "orlicz": phi.spec_dict(),
@@ -564,24 +559,19 @@ def inverse_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int
                 "grid": int(grid)},
         tolerance=0.05,
     )
-    ratios = []
-    for label, f in _sweep_members(family, rng, num_funcs):
-        if f.max_freq == 0:
-            continue
-        errors = np.array([best_approx(f, phi, nu, rtol=rtol) for nu in range(1, n_max + 1)])
-        nu = np.arange(1, n_max + 1, dtype=float)
+    ns = _log_orders(n_max, 10)
+    nu = np.arange(1, n_max + 1, dtype=float)
+
+    def rows(f):
+        errors = np.array([best_approx(f, phi, v, rtol=rtol) for v in range(1, n_max + 1)])
         weighted = np.cumsum(nu ** (alpha - 1.0) * errors)
         for n in ns:
             w = modulus(f, phi, alpha, 1.0 / n, grid=grid, rtol=rtol)
             denom = weighted[n - 1] / n ** alpha
-            if denom == 0.0:
-                continue
-            r = w / denom
-            ratios.append(r)
-            report.add(f"{label} n={n}", w, denom, r, math.isfinite(r))
-    ok, sup_early, sup_all = _running_sup_stabilizes(ratios)
-    report.add("stabilization", sup_early, 0.95 * sup_all, sup_early / sup_all if sup_all else 1.0, ok)
-    report.empirical_constant = sup_all
+            if denom != 0.0:
+                yield f"n={n}", w, denom, math.isfinite(w / denom)
+
+    _sweep(report, family, num_funcs, seed, rows)
     return report.finalize()
 
 
@@ -596,7 +586,6 @@ def equivalence_report(family: str, alpha: float, phi: OrliczFunction, *, deltas
     phase of the K-functional suffices for a two-sided constant, so the
     convex polish is off by default in sweeps.
     """
-    rng = np.random.default_rng(seed)
     if deltas is None:
         deltas = np.geomspace(1e-3, 1.0, 8)
     report = Report(
@@ -606,21 +595,16 @@ def equivalence_report(family: str, alpha: float, phi: OrliczFunction, *, deltas
                 "polish": bool(polish), "deltas": [float(d) for d in deltas]},
         tolerance=0.05,
     )
-    ratios = []
-    for label, f in _sweep_members(family, rng, num_funcs):
-        if f.max_freq == 0:
-            continue
+
+    def rows(f):
         for d in deltas:
             w = modulus(f, phi, alpha, float(d), grid=grid, rtol=rtol)
-            est = k_functional(f, phi, alpha, float(d), polish=polish, rtol=rtol)
-            r = est.value / w
-            ratios.append(r)
-            report.add(f"{label} delta={float(d):.6g}", est.value, w, r,
-                       math.isfinite(r) and r > 0.0)
+            kval = k_functional(f, phi, alpha, float(d), polish=polish, rtol=rtol).value
+            yield f"delta={float(d):.6g}", kval, w, 0.0 < kval / w < math.inf
+
+    ratios = _sweep(report, family, num_funcs, seed, rows)
     c1 = min(ratios) if ratios else 0.0
     c2 = max(ratios) if ratios else 0.0
-    ok, sup_early, sup_all = _running_sup_stabilizes(ratios)
-    report.add("stabilization", sup_early, 0.95 * sup_all, sup_early / sup_all if sup_all else 1.0, ok)
     report.add("lower-envelope", c1, 0.0, c1, c1 > 0.0)
     report.params["c1"] = float(c1)
     report.params["c2"] = float(c2)

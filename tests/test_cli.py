@@ -135,3 +135,22 @@ def test_round_trip_identity(tmp_path):
     path = tmp_path / "f.jsonl"
     write_coeffs(f, path)
     assert read_coeffs(path) == f
+
+
+def test_duplicate_and_non_finite_input_lines_exit_2(tmp_path, capsys):
+    dup = tmp_path / "dup.jsonl"
+    dup.write_text('{"k": 1, "re": 1.0, "im": 0.0}\n{"k": 1, "re": 2.0, "im": 0.0}\n',
+                   encoding="utf-8")
+    assert run(["norm", "--orlicz", P2, "--input", str(dup)]) == 2
+    assert ":2: duplicate k=1" in capsys.readouterr().err
+    nan = tmp_path / "nan.jsonl"
+    nan.write_text('{"k": 1, "re": NaN, "im": 0.0}\n', encoding="utf-8")
+    assert run(["norm", "--orlicz", P2, "--input", str(nan)]) == 2
+    assert ":1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", ["inf", "nan", "2.5"])
+def test_kernel_rejects_non_integer_r(r, capsys):
+    assert run(["kernel", "--n", "4", "--r", r]) == 2
+    err = capsys.readouterr().err
+    assert "integer --r" in err and "Traceback" not in err

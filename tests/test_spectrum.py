@@ -172,3 +172,22 @@ def test_jsonl_reader_reports_line_numbers(line, fragment):
     with pytest.raises(ValueError, match=r":2:") as err:
         read_coeffs(src)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line, fragment",
+    [
+        ('{"k": 1, "re": NaN, "im": 0.0}', "finite"),
+        ('{"k": 1, "re": 0.5, "im": -Infinity}', "finite"),
+        ('{"k": 1, "re": 1e400, "im": 0.0}', "finite"),
+        ('{"k": 0, "re": 2.0, "im": 0.0}', "duplicate k=0"),
+        ('{"k": -1, "re": 2.0, "im": 0.0}', "descending k=-1"),
+        ('{"k": 9223372036854775808, "re": 1.0, "im": 0.0}', "below 2**63"),
+    ],
+    ids=["nan", "infinity", "overflow", "duplicate-k", "descending-k", "k-beyond-int64"],
+)
+def test_jsonl_reader_enforces_the_file_contract(line, fragment):
+    src = io.StringIO('{"k": 0, "re": 1.0, "im": 0.0}\n' + line + "\n")
+    with pytest.raises(ValueError, match=r":2:") as err:
+        read_coeffs(src)
+    assert fragment in str(err.value)

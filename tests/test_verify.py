@@ -229,3 +229,23 @@ def test_format_json_handles_non_finite_and_rejects_unknown():
     assert format_json(float("nan")) == '"nan"'
     with pytest.raises(TypeError):
         format_json(object())
+
+
+def test_sweep_report_structure_is_pinned():
+    # Row order and params key order of the three sweeps, read without any float.
+    members = ["harmonic k=1", "harmonic k=3", "harmonic k=16", "harmonic k=64", "lacunary[0]"]
+    common = {"num_funcs": 1, "seed": 5, "grid": 8}
+    direct = direct_report("lacunary", 1.0, P2, n_max=2, **common)
+    assert [s["descriptor"] for s in direct.samples] == [
+        f"{m} n={n}" for m in members for n in (1, 2)] + ["stabilization"]
+    assert list(direct.params) == ["family", "alpha", "orlicz", "n_max", "num_funcs", "seed",
+                                   "grid", "search"]
+    inverse = inverse_report("lacunary", 1.0, P2, n_max=2, **common)
+    assert [s["descriptor"] for s in inverse.samples] == [
+        f"{m} n={n}" for m in members for n in (1, 2)] + ["stabilization"]
+    assert list(inverse.params) == ["family", "alpha", "orlicz", "n_max", "num_funcs", "seed", "grid"]
+    equiv = equivalence_report("lacunary", 1.0, P2, deltas=[0.1, 1.0], **common)
+    assert [s["descriptor"] for s in equiv.samples] == [
+        f"{m} delta={d}" for m in members for d in ("0.1", "1")] + ["stabilization", "lower-envelope"]
+    assert list(equiv.params) == ["family", "alpha", "orlicz", "num_funcs", "seed", "grid",
+                                  "polish", "deltas", "c1", "c2"]
