@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracdiff import binom
+from .fracdiff import _signed_coeffs
 from .orlicz import luxemburg_norm
-from .spectrum import CoeffSeq, PsiWeights, psi_derivative, tail
+from .spectrum import CoeffSeq, PsiWeights, _as_int, psi_derivative, tail
 
 __all__ = [
     "best_approx",
@@ -70,15 +70,14 @@ def jackson_kernel(n: int, r: int = 0):
     p = int(n) // (2 * k0) + 1
     ones = np.ones(p)
     conv = ones
-    for _ in range(2 * k0 - 1):
+    # p = 1 is the constant kernel: every convolution would return [1.0]
+    for _ in range(2 * k0 - 1 if p > 1 else 0):
         conv = np.convolve(conv, ones)
     deg = k0 * (p - 1)
     center = conv[deg]
     b_p = 1.0 / (2.0 * math.pi * center)
-    freqs = np.arange(-deg, deg + 1)
-    coeffs = conv * b_p
     spec = KernelSpec(n=int(n), k0=k0, p=p, b_p=float(b_p))
-    return spec, CoeffSeq(zip(freqs.tolist(), coeffs.tolist()))
+    return spec, CoeffSeq.from_arrays(np.arange(-deg, deg + 1), conv * b_p)
 
 
 def kernel_values(spec: KernelSpec, t) -> np.ndarray:
@@ -101,18 +100,6 @@ def kernel_moment(spec: KernelSpec, r: int, nodes: int = 16384) -> float:
     return float(vals.sum() * step)
 
 
-def _as_positive_int(alpha):
-    if isinstance(alpha, (int, np.integer)) and not isinstance(alpha, bool):
-        a = int(alpha)
-    elif isinstance(alpha, float) and alpha.is_integer():
-        a = int(alpha)
-    else:
-        raise ValueError(f"this construction needs an integer order, got {alpha!r}")
-    if a < 1:
-        raise ValueError("order must be >= 1")
-    return a
-
-
 def jackson_approximant(f: CoeffSeq, alpha, n: int) -> CoeffSeq:
     """Degree-(n-1) Jackson mean whose error is controlled by the alpha-modulus.
 
@@ -123,25 +110,33 @@ def jackson_approximant(f: CoeffSeq, alpha, n: int) -> CoeffSeq:
     frequency with |k| >= n is annihilated and the result lies in the
     degree-(n-1) class.
     """
-    mult = residual_multipliers(f, alpha, n)
-    return CoeffSeq({k: c * (1.0 - mult[k]) for k, c in f.items()})
+    ks, cs = f.as_arrays()
+    return CoeffSeq.from_arrays(ks, cs * (1.0 - _residual(f, alpha, n)))
 
 
 def residual_multipliers(f: CoeffSeq, alpha, n: int) -> dict:
     """The factors m_alpha(k) with f_k - sigma_k = m_alpha(k) * f_k, keyed by k."""
-    alpha = _as_positive_int(alpha)
+    return dict(zip(f.support, _residual(f, alpha, n).tolist()))
+
+
+def _residual(f, alpha, n):
+    """m_alpha(k) over the support of f, in ascending k."""
+    alpha = _as_int(alpha, "this construction needs an integer order")
+    if alpha < 1:
+        raise ValueError("order must be >= 1")
     if n < 2:
         raise ValueError("need n >= 2 so the kernel order n - 1 is positive")
-    _, kern = jackson_kernel(n - 1, r=alpha)
-    center = kern[0].real
-    signs = [(-1) ** j * binom(alpha, j) for j in range(alpha + 1)]
-    out = {}
-    for k in f.support:
-        m = 0.0
-        for j, s in enumerate(signs):
-            m += s * (1.0 if j == 0 else kern[j * k].real / center)
-        out[k] = m
-    return out
+    spec, kern = jackson_kernel(n - 1, r=alpha)
+    deg = spec.degree
+    # q(m) for m = -deg-1..deg+1, zero at both ends and 1 at m = 0
+    q = np.pad(kern.as_arrays()[1].real / kern[0].real, 1)
+    # frequencies beyond the kernel band see q = 0 for every j >= 1; clipping
+    # them keeps j * k inside int64
+    ks = np.clip(f.as_arrays()[0], -deg - 1, deg + 1)
+    m = np.zeros(ks.size)
+    for j, s in enumerate(_signed_coeffs(alpha, alpha)):
+        m += s * q[np.clip(j * ks + deg + 1, 0, 2 * deg + 2)]
+    return m
 
 
 def psi_bernstein_ratio(tau: CoeffSeq, phi, psi: PsiWeights, n: int, *, rtol: float = 1e-12):

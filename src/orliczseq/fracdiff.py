@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._search import golden_max
-from .orlicz import _abs_values, _lux_norm, _lux_rows, luxemburg_norm
+from .orlicz import _lux_norm, _lux_rows, luxemburg_norm
 from .spectrum import CoeffSeq
 
 __all__ = [
@@ -27,10 +27,7 @@ def binom(alpha: float, j: int) -> float:
     """Generalized binomial coefficient alpha*(alpha-1)*...*(alpha-j+1)/j!."""
     if j < 0:
         raise ValueError("binomial index must be nonnegative")
-    out = 1.0
-    for i in range(int(j)):
-        out *= (alpha - i) / (i + 1.0)
-    return out
+    return float((-1) ** j * _signed_coeffs(alpha, int(j))[-1])
 
 
 def _signed_coeffs(alpha: float, j_max: int) -> np.ndarray:
@@ -84,7 +81,7 @@ def frac_difference(f: CoeffSeq, alpha: float, h: float) -> CoeffSeq:
     ks, cs = f.as_arrays()
     z = 1.0 - np.exp(-1j * ks * float(h))
     mult = np.where(z == 0, 0j, np.power(np.where(z == 0, 1j, z), alpha))
-    return CoeffSeq(zip(ks.tolist(), (mult * cs).tolist()))
+    return CoeffSeq.from_arrays(ks, mult * cs)
 
 
 def frac_difference_series(f: CoeffSeq, alpha: float, h: float, j_max: int) -> CoeffSeq:
@@ -100,7 +97,7 @@ def frac_difference_series(f: CoeffSeq, alpha: float, h: float, j_max: int) -> C
     coeffs = _signed_coeffs(alpha, int(j_max))
     j = np.arange(int(j_max) + 1)
     mult = np.exp(np.outer(-1j * ks * float(h), j)) @ coeffs
-    return CoeffSeq(zip(ks.tolist(), (mult * cs).tolist()))
+    return CoeffSeq.from_arrays(ks, mult * cs)
 
 
 def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
@@ -113,6 +110,8 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
     refinement around the best grid point.  The refined value is a true
     evaluation at some shift, hence always a lower bound for the supremum.
     """
+    if not np.all(np.isfinite([alpha, delta])):
+        raise ValueError("modulus order and delta must be finite")
     if alpha < 0:
         raise ValueError("modulus order must be nonnegative")
     if alpha == 0:
@@ -122,7 +121,8 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
     grid = int(grid)
     if grid < 2:
         raise ValueError("need at least two grid points")
-    ks, absc = _abs_values(f)
+    ks, cs = f.as_arrays()
+    absc = np.abs(cs)
     if ks.size == 0:
         return 0.0
     hs = np.linspace(0.0, float(delta), grid)

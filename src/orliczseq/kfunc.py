@@ -17,7 +17,7 @@ import numpy as np
 
 from ._search import golden_min
 from .fracdiff import frac_difference
-from .orlicz import _abs_values, _lux_norm, luxemburg_norm
+from .orlicz import _lux_norm, luxemburg_norm
 from .spectrum import CoeffSeq, PsiWeights, psi_derivative
 
 __all__ = ["KEstimate", "k_functional", "difference_derivative_bracket"]
@@ -55,7 +55,8 @@ def k_functional(f: CoeffSeq, phi, alpha: float, delta: float, n_band: int | Non
         raise ValueError("derivative order must be positive")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    ks, absc = _abs_values(f)
+    ks, cs = f.as_arrays()
+    absc = np.abs(cs)
     if n_band is None:
         n_band = f.max_freq
     n_band = int(n_band)

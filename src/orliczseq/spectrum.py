@@ -28,32 +28,53 @@ __all__ = [
 ]
 
 
-def _as_frequency(k):
-    if isinstance(k, (int, np.integer)):
-        return int(k)
-    if isinstance(k, float) and k.is_integer():
-        return int(k)
-    raise ValueError(f"frequency must be an integer, got {k!r}")
+def _as_int(x, need="frequency must be an integer"):
+    """x as an int when it is an integer or an integral float; else ValueError(need)."""
+    if isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValueError(f"{need}, got {x!r}")
 
 
 class CoeffSeq:
     """Finitely supported map from integer frequency to complex amplitude.
 
-    Canonical form: exact zeros are never stored and keys are Python ints.
-    Instances are immutable; arithmetic returns new sequences.  Duplicate
-    frequencies passed to the constructor are summed.
+    Stored as two read-only arrays: strictly ascending int64 frequencies and
+    finite nonzero complex128 amplitudes.  Instances are immutable;
+    arithmetic returns new sequences.  Duplicate frequencies passed to the
+    constructor are summed in input order; exact zeros are dropped.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_ks", "_cs")
 
     def __init__(self, entries=None):
-        acc = {}
-        if entries is not None:
-            items = entries.items() if hasattr(entries, "items") else entries
-            for k, v in items:
-                k = _as_frequency(k)
-                acc[k] = acc.get(k, 0j) + complex(v)
-        object.__setattr__(self, "_entries", {k: v for k, v in acc.items() if v != 0})
+        pairs = [] if entries is None else list(entries.items() if hasattr(entries, "items") else entries)
+        keys, values = zip(*pairs) if pairs else ((), ())
+        self._canonicalise(keys, values)
+
+    def _canonicalise(self, keys, values):
+        # The one canonicaliser: sort, sum duplicates onto +0j in input order
+        # (so a -0.0 part is stored as 0.0), drop zeros, reject non-finite
+        # values and |k| >= 2**63.  Returns self.
+        ks = np.asarray(keys)
+        if ks.dtype.kind not in "biu":  # floats, Python ints beyond 64 bits, mixed or other objects
+            ks = np.array([_as_int(k) for k in keys], dtype=object)
+        # The extremes as Python ints, so the bounds are compared exactly for every dtype.
+        if ks.size and not (-2**63 < int(ks.min()) and int(ks.max()) < 2**63):
+            raise ValueError("frequency magnitude must be below 2**63")
+        ks, cs = ks.astype(np.int64), np.asarray(values, dtype=np.complex128)
+        if ks.ndim != 1 or ks.shape != cs.shape:
+            raise ValueError("frequencies and amplitudes must be aligned 1-d sequences")
+        ks, pos = np.unique(ks, return_inverse=True)
+        acc = np.zeros(ks.size, dtype=np.complex128)
+        np.add.at(acc, pos, cs)
+        if not np.isfinite(np.abs(acc)).all():  # |c| overflows for parts near the double limit
+            raise ValueError("coefficients must be finite")
+        keep = acc != 0
+        ks, cs = ks[keep], acc[keep]
+        ks.flags.writeable = cs.flags.writeable = False
+        object.__setattr__(self, "_ks", ks)
+        object.__setattr__(self, "_cs", cs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("CoeffSeq is immutable")
@@ -61,49 +82,45 @@ class CoeffSeq:
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, k) -> complex:
-        return self._entries.get(_as_frequency(k), 0j)
+        k = _as_int(k)
+        i = int(np.searchsorted(self._ks, k))
+        return complex(self._cs[i]) if i < self._ks.size and self._ks[i] == k else 0j
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
+        return self._ks.size
 
     def __iter__(self):
         return iter(self.support)
 
     def items(self):
         """Entries as (k, c_k) pairs in ascending frequency order."""
-        return [(k, self._entries[k]) for k in self.support]
+        return list(zip(self._ks.tolist(), self._cs.tolist()))
 
     @property
     def support(self):
-        return tuple(sorted(self._entries))
+        return tuple(self._ks.tolist())
 
     @property
     def max_freq(self) -> int:
         """Largest |k| in the support (0 for the zero sequence)."""
-        return max((abs(k) for k in self._entries), default=0)
+        return max(-int(self._ks[0]), int(self._ks[-1])) if self._ks.size else 0
 
     def as_arrays(self):
-        """Support and amplitudes as aligned numpy arrays, ascending k."""
-        ks = np.array(self.support, dtype=np.int64)
-        cs = np.array([self._entries[int(k)] for k in ks], dtype=np.complex128)
-        return ks, cs
+        """Support and amplitudes as aligned read-only numpy arrays, ascending k."""
+        return self._ks, self._cs
 
     @classmethod
     def from_arrays(cls, ks, cs):
-        return cls(zip(np.asarray(ks).tolist(), np.asarray(cs).tolist()))
+        """The sequence with amplitudes cs at frequencies ks, canonicalised like the constructor."""
+        return cls.__new__(cls)._canonicalise(ks, cs)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, CoeffSeq):
             return NotImplemented
-        out = dict(self._entries)
-        for k, v in other._entries.items():
-            out[k] = out.get(k, 0j) + v
-        return CoeffSeq(out)
+        return CoeffSeq.from_arrays(np.concatenate([self._ks, other._ks]),
+                                    np.concatenate([self._cs, other._cs]))
 
     def __sub__(self, other):
         if not isinstance(other, CoeffSeq):
@@ -111,13 +128,12 @@ class CoeffSeq:
         return self + (-other)
 
     def __neg__(self):
-        return CoeffSeq({k: -v for k, v in self._entries.items()})
+        return CoeffSeq.from_arrays(self._ks, -self._cs)
 
     def __mul__(self, scalar):
         if isinstance(scalar, CoeffSeq):
             return NotImplemented
-        s = complex(scalar)
-        return CoeffSeq({k: s * v for k, v in self._entries.items()})
+        return CoeffSeq.from_arrays(self._ks, complex(scalar) * self._cs)
 
     __rmul__ = __mul__
 
@@ -127,7 +143,7 @@ class CoeffSeq:
     def __eq__(self, other):
         if not isinstance(other, CoeffSeq):
             return NotImplemented
-        return self._entries == other._entries
+        return np.array_equal(self._ks, other._ks) and np.array_equal(self._cs, other._cs)
 
     __hash__ = None
 
@@ -142,12 +158,16 @@ def fourier_sum(f: CoeffSeq, n: int) -> CoeffSeq:
     """Restriction of f to the band |k| <= n (the degree-n partial sum)."""
     if n < 0:
         raise ValueError("band edge must be nonnegative")
-    return CoeffSeq({k: v for k, v in f._entries.items() if abs(k) <= n})
+    ks, cs = f.as_arrays()
+    keep = np.abs(ks) <= n
+    return CoeffSeq.from_arrays(ks[keep], cs[keep])
 
 
 def tail(f: CoeffSeq, n: int) -> CoeffSeq:
     """Complementary part of f with support on |k| >= n."""
-    return CoeffSeq({k: v for k, v in f._entries.items() if abs(k) >= n})
+    ks, cs = f.as_arrays()
+    keep = np.abs(ks) >= n
+    return CoeffSeq.from_arrays(ks[keep], cs[keep])
 
 
 class PsiWeights:
@@ -176,7 +196,7 @@ class PsiWeights:
     def explicit(cls, mapping) -> "PsiWeights":
         table = {}
         for k, v in dict(mapping).items():
-            k = _as_frequency(k)
+            k = _as_int(k)
             if k == 0:
                 raise ValueError("psi weights are indexed by k != 0")
             v = complex(v)
@@ -214,10 +234,7 @@ class PsiWeights:
             raise ValueError("band must contain at least k = 1")
         if self.rule == "fractional":
             return float(n ** (-self.r))
-        ks = [k for k in support if abs(k) >= n]
-        if not ks:
-            return 0.0
-        return max(abs(self.weight(k)) for k in ks)
+        return max((abs(self.weight(k)) for k in support if abs(k) >= n), default=0.0)
 
     def __repr__(self):
         if self.rule == "fractional":
@@ -227,18 +244,13 @@ class PsiWeights:
 
 def psi_derivative(f: CoeffSeq, psi: PsiWeights) -> CoeffSeq:
     """Coefficient-wise division by psi; the k = 0 entry is always dropped."""
-    out = {}
-    for k, c in f._entries.items():
-        if k == 0:
-            continue
-        out[k] = c / psi.weight(k)
-    return CoeffSeq(out)
+    ks, cs = f.as_arrays()
+    ks, cs = ks[ks != 0], cs[ks != 0]
+    return CoeffSeq.from_arrays(ks, cs / np.array([psi.weight(k) for k in ks.tolist()], dtype=complex))
 
 
 def evaluate(f: CoeffSeq, x: float) -> complex:
     """Pointwise synthesis sum(c_k * exp(i k x))."""
-    if not f:
-        return 0j
     ks, cs = f.as_arrays()
     return complex(np.sum(cs * np.exp(1j * ks * float(x))))
 
@@ -256,14 +268,12 @@ def analyze_samples(samples) -> CoeffSeq:
     n = s.size
     half = (n - 1) // 2
     ks = np.arange(-half, half + 1)
-    coeffs = np.fft.fft(s)[ks % n] / n
-    return CoeffSeq(zip(ks.tolist(), coeffs.tolist()))
+    return CoeffSeq.from_arrays(ks, np.fft.fft(s)[ks % n] / n)
 
 
 def max_abs_diff(f: CoeffSeq, g: CoeffSeq) -> float:
     """Largest coefficient-wise deviation between two sequences."""
-    keys = set(f._entries) | set(g._entries)
-    return max((abs(f[k] - g[k]) for k in keys), default=0.0)
+    return float(np.abs((f - g).as_arrays()[1]).max(initial=0.0))
 
 
 # -- JSON-lines coefficient files --------------------------------------------

@@ -224,8 +224,7 @@ class MajorantOmega:
         pts = sorted((float(x), float(y)) for x, y in points)
         if not pts or pts[0][0] > 0.0:
             pts = [(0.0, 0.0)] + pts
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
+        xs, ys = np.array(pts).T
         if xs[-1] < 1.0:
             raise ValueError("table must cover [0, 1]")
         return cls("table", lambda d: float(np.interp(d, xs, ys)), {"points": len(pts)})
@@ -290,7 +289,7 @@ def _gen_poly_decay(rng) -> CoeffSeq:
     ks = np.concatenate([np.arange(1, 65), -np.arange(1, 65)])
     mags = np.abs(ks).astype(float) ** (-gamma - 0.5)
     phases = np.exp(2j * np.pi * rng.uniform(size=ks.size))
-    return CoeffSeq(zip(ks.tolist(), (mags * phases).tolist()))
+    return CoeffSeq.from_arrays(ks, mags * phases)
 
 
 _FAMILIES = {
@@ -449,7 +448,7 @@ def rates_report(beta: float, alpha: float, phi: OrliczFunction, band: int = 409
         raise ValueError("band must be at least 64")
     ks = np.arange(1, band + 1)
     mags = ks.astype(float) ** (-beta - 0.5)
-    f = CoeffSeq(zip(np.concatenate([ks, -ks]).tolist(), np.concatenate([mags, mags]).tolist()))
+    f = CoeffSeq.from_arrays(np.concatenate([ks, -ks]), np.concatenate([mags, mags]))
 
     quadratic = phi.name == "power" and phi.param == 2.0
     ts = [2.0 ** (-j) for j in range(j_min, j_max + 1)]
@@ -496,12 +495,13 @@ def rates_report(beta: float, alpha: float, phi: OrliczFunction, band: int = 409
 _PROBES = [(f"harmonic k={k}", CoeffSeq({k: 1.0})) for k in (1, 3, 16, 64)]
 
 
-def _sweep(report, family, num_funcs, seed, rows):
+def _sweep(report, family, num_funcs, seed, rows, ok):
     """Add the rows of every swept member to the report, then the stabilization row.
 
-    rows(f) yields (suffix, lhs, rhs, ok) for one member; the row's ratio is
-    lhs / rhs.  Members without a nonconstant frequency are skipped.  Sets the
-    empirical constant to the running sup and returns the ratios.
+    rows(f) yields (suffix, lhs, rhs) for one member; the row's ratio is
+    lhs / rhs in IEEE arithmetic, so a zero rhs gives inf or nan, and ok(ratio)
+    is its verdict.  Members without a nonconstant frequency are skipped.  Sets
+    the empirical constant to the running sup and returns the ratios.
     """
     gen, rng = generator(family), np.random.default_rng(seed)
     members = _PROBES + [(f"{family}[{i}]", gen(rng)) for i in range(num_funcs)]
@@ -509,9 +509,10 @@ def _sweep(report, family, num_funcs, seed, rows):
     for label, f in members:
         if f.max_freq == 0:
             continue
-        for suffix, lhs, rhs, ok in rows(f):
-            ratios.append(lhs / rhs)
-            report.add(f"{label} {suffix}", lhs, rhs, ratios[-1], ok)
+        for suffix, lhs, rhs in rows(f):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios.append(float(np.float64(lhs) / rhs))
+            report.add(f"{label} {suffix}", lhs, rhs, ratios[-1], ok(ratios[-1]))
     ok, sup_early, sup_all = _running_sup_stabilizes(ratios)
     report.add("stabilization", sup_early, 0.95 * sup_all, sup_early / sup_all if sup_all else 1.0, ok)
     report.empirical_constant = sup_all
@@ -540,9 +541,9 @@ def direct_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int 
         for n in ns:
             e = best_approx(f, phi, n, rtol=rtol)
             w = modulus(f, phi, alpha, 1.0 / n, grid=grid, rtol=rtol)
-            yield f"n={n}", e, w, math.isfinite(e / w)
+            yield f"n={n}", e, w
 
-    _sweep(report, family, num_funcs, seed, rows)
+    _sweep(report, family, num_funcs, seed, rows, math.isfinite)
     return report.finalize()
 
 
@@ -567,11 +568,9 @@ def inverse_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int
         weighted = np.cumsum(nu ** (alpha - 1.0) * errors)
         for n in ns:
             w = modulus(f, phi, alpha, 1.0 / n, grid=grid, rtol=rtol)
-            denom = weighted[n - 1] / n ** alpha
-            if denom != 0.0:
-                yield f"n={n}", w, denom, math.isfinite(w / denom)
+            yield f"n={n}", w, weighted[n - 1] / n ** alpha
 
-    _sweep(report, family, num_funcs, seed, rows)
+    _sweep(report, family, num_funcs, seed, rows, math.isfinite)
     return report.finalize()
 
 
@@ -600,9 +599,9 @@ def equivalence_report(family: str, alpha: float, phi: OrliczFunction, *, deltas
         for d in deltas:
             w = modulus(f, phi, alpha, float(d), grid=grid, rtol=rtol)
             kval = k_functional(f, phi, alpha, float(d), polish=polish, rtol=rtol).value
-            yield f"delta={float(d):.6g}", kval, w, 0.0 < kval / w < math.inf
+            yield f"delta={float(d):.6g}", kval, w
 
-    ratios = _sweep(report, family, num_funcs, seed, rows)
+    ratios = _sweep(report, family, num_funcs, seed, rows, lambda r: 0.0 < r < math.inf)
     c1 = min(ratios) if ratios else 0.0
     c2 = max(ratios) if ratios else 0.0
     report.add("lower-envelope", c1, 0.0, c1, c1 > 0.0)

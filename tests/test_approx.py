@@ -256,3 +256,26 @@ def test_direct_ratio_random_instances():
         r = float(rng.uniform(0.3, 2.0))
         lhs, bound = psi_direct_ratio(f, P2, PsiWeights.fractional(r), n)
         assert lhs <= bound + 1e-9
+
+
+def test_residual_multipliers_match_the_per_frequency_loop():
+    from orliczseq.fracdiff import binom
+
+    f = CoeffSeq({k: 1.0 for k in (-40, -7, -2, 0, 1, 3, 5, 6, 9, 15, 20, 2**62)})
+    for alpha, n in ((1, 8), (2, 16), (3, 24), (4, 64)):
+        _, kern = jackson_kernel(n - 1, r=alpha)
+        center = kern[0].real
+        expected = {}
+        for k in f.support:
+            m = 0.0
+            for j in range(alpha + 1):
+                m += (-1) ** j * binom(alpha, j) * (1.0 if j == 0 else kern[j * k].real / center)
+            expected[k] = m
+        assert residual_multipliers(f, alpha, n) == expected
+
+
+def test_constant_kernel_needs_no_convolutions():
+    # p = 1 whenever 2 * k0 > n: the kernel is the constant 1/(2 pi) however large r is
+    spec, kern = jackson_kernel(4, 10**7)
+    assert spec.p == 1 and spec.degree == 0
+    assert kern == CoeffSeq({0: 1.0 / (2.0 * math.pi)})

@@ -154,3 +154,19 @@ def test_kernel_rejects_non_integer_r(r, capsys):
     assert run(["kernel", "--n", "4", "--r", r]) == 2
     err = capsys.readouterr().err
     assert "integer --r" in err and "Traceback" not in err
+
+
+def test_kernel_overflow_exits_2_without_nan(tmp_path, capsys):
+    out = tmp_path / "kernel.jsonl"
+    for extra in ([], ["--output", str(out)]):
+        assert run(["kernel", "--n", "4096", "--r", "300", *extra]) == 2
+        captured = capsys.readouterr()
+        assert "NaN" not in captured.out and "finite" in captured.err
+    assert not out.exists() or "NaN" not in out.read_text(encoding="utf-8")
+
+
+def test_verify_direct_with_vanishing_modulus_exits_1(capsys):
+    argv = ["verify", "direct", "--alpha", "200", "--family", "lacunary", "--n-max", "128",
+            "--grid", "2"]
+    assert run(argv) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False

@@ -210,3 +210,22 @@ def test_modulus_derivative_transfer():
     lhs = modulus(f, P2, alpha, delta)
     rhs = delta ** beta * modulus(fb, P2, alpha - beta, delta)
     assert lhs <= rhs + 1e-7
+
+
+def test_binom_matches_the_product_loop():
+    def loop(alpha, j):
+        out = 1.0
+        for i in range(j):
+            out *= (alpha - i) / (i + 1.0)
+        return out
+
+    for alpha in np.arange(-30, 60) / 7:
+        for j in range(40):
+            assert binom(float(alpha), j) == loop(float(alpha), j)
+
+
+@pytest.mark.parametrize("alpha, delta", [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.inf),
+                                          (1.0, math.nan), (0.0, math.inf)])
+def test_modulus_rejects_non_finite_order_and_scale(alpha, delta):
+    with pytest.raises(ValueError, match="finite"):
+        modulus(CoeffSeq({1: 1.0}), P2, alpha, delta)

@@ -231,3 +231,10 @@ def test_dual_witness_guarantees(phi):
         # feasibility and optimality against the dual norm of the scaled sequence
         assert sum(conjugate(phi, float(l)) for l in lam) <= 1.0 + 1e-7
         assert float(np.dot(lam, a)) <= orlicz_norm(phi, scaled) + 1e-7
+
+
+@pytest.mark.parametrize("family", [power, power_log], ids=["power", "power_log"])
+@pytest.mark.parametrize("p", [1024.0, 1e308])
+def test_huge_exponents_raise_value_error_naming_the_gauge(family, p):
+    with pytest.raises(ValueError, match=family.__name__):
+        family(p)

@@ -191,3 +191,63 @@ def test_jsonl_reader_enforces_the_file_contract(line, fragment):
     with pytest.raises(ValueError, match=r":2:") as err:
         read_coeffs(src)
     assert fragment in str(err.value)
+
+
+# -- array representation -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("entries", [{1: math.nan}, {1: complex(0, math.inf)}, {2**63: 1.0},
+                                     {-(2**63): 1.0}, [(1, 1e308), (1, 1e308)]],
+                         ids=["nan", "inf", "k-2**63", "k-minus-2**63", "sum-overflows"])
+def test_construction_rejects_non_finite_and_out_of_range(entries):
+    with pytest.raises(ValueError):
+        CoeffSeq(entries)
+
+
+def test_as_arrays_are_read_only_views():
+    f = CoeffSeq({2: 1.0, -1: 3j})
+    ks, cs = f.as_arrays()
+    assert f.as_arrays()[0] is ks and f.as_arrays()[1] is cs
+    with pytest.raises(ValueError):
+        ks[0] = 5
+    with pytest.raises(ValueError):
+        cs[0] = 0.0
+    assert f == CoeffSeq({-1: 3j, 2: 1.0})
+
+
+def test_from_arrays_canonicalises_like_the_constructor():
+    ks = np.array([3, -2, 3, 0, 5, 3])
+    cs = np.array([1e16, 2.0, 1.0, 0.0, complex(-0.0, 1.0), -1e16])
+    f = CoeffSeq.from_arrays(ks, cs)
+    # duplicates summed in input order: (1e16 + 1) - 1e16 is 0, which is dropped
+    assert f.support == (-2, 5)
+    assert math.copysign(1.0, f[5].real) == 1.0
+    assert math.copysign(1.0, CoeffSeq.from_arrays([5], [complex(-0.0, 1.0)])[5].real) == 1.0
+    assert f == CoeffSeq(zip(ks.tolist(), cs.tolist()))
+    rng = np.random.default_rng(3)
+    ks = rng.integers(-50, 50, size=40)
+    cs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    acc = {}
+    for k, c in zip(ks.tolist(), cs.tolist()):
+        acc[k] = acc.get(k, 0j) + c
+    assert CoeffSeq.from_arrays(ks, cs) == CoeffSeq(acc)
+    assert CoeffSeq.from_arrays(ks, cs).items() == sorted(acc.items())
+
+
+def test_int64_extreme_frequencies_are_kept_exactly():
+    top = 2**63 - 1
+    for f in (CoeffSeq({top: 1.0, -top: 2.0}),
+              CoeffSeq.from_arrays(np.array([top], dtype=np.uint64), [1.0]),
+              CoeffSeq.from_arrays(np.array([top, -top], dtype=np.int64), [1.0, 1.0])):
+        assert f[top] == 1.0 and f.max_freq == top
+    with pytest.raises(ValueError):
+        CoeffSeq.from_arrays(np.array([2**63], dtype=np.uint64), [1.0])
+    with pytest.raises(ValueError):
+        CoeffSeq.from_arrays(np.array([-(2**63)], dtype=np.int64), [1.0])
+
+
+def test_mixed_float_and_large_int_keys_stay_exact():
+    f = CoeffSeq([(2.0, 1.0), (2**62 + 1, 3.0)])
+    assert f.support == (2, 2**62 + 1)
+    assert f[2**62 + 1] == 3.0 and f[2**62] == 0j
+    assert CoeffSeq.from_arrays([2.0, 2**62 + 1], [1.0, 3.0]) == f

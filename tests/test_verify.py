@@ -249,3 +249,11 @@ def test_sweep_report_structure_is_pinned():
         f"{m} delta={d}" for m in members for d in ("0.1", "1")] + ["stabilization", "lower-envelope"]
     assert list(equiv.params) == ["family", "alpha", "orlicz", "num_funcs", "seed", "grid",
                                   "polish", "deltas", "c1", "c2"]
+
+
+def test_zero_modulus_fails_the_row_instead_of_raising():
+    # at alpha = 200 the modulus of the k = 1 probe at delta = 1/128 underflows to 0.0
+    rep = direct_report("lacunary", 200.0, P2, n_max=128, num_funcs=1, grid=16)
+    assert not rep.passed
+    bad = [s for s in rep.samples if not s["ok"]]
+    assert bad and all(not math.isfinite(s["ratio"]) for s in bad if s["descriptor"] != "stabilization")
