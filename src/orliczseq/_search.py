@@ -1,4 +1,4 @@
-"""Scalar golden-section search used by the norm and modulus solvers."""
+"""Scalar golden-section search; it serves only the K-functional's coordinate polish."""
 
 from __future__ import annotations
 
@@ -39,8 +39,3 @@ def golden_min(fn, lo, hi, *, rtol=1e-12, atol=0.0, max_iter=200):
         return c, fc
     return d, fd
 
-
-def golden_max(fn, lo, hi, **kw):
-    """Maximize a unimodal function on [lo, hi]; returns (argmax, max value)."""
-    x, v = golden_min(lambda t: -fn(t), lo, hi, **kw)
-    return x, -v

@@ -2,8 +2,9 @@
 
 In this coefficient model the distance from f to the degree-(n-1)
 polynomials is attained at the partial sum, so it reduces to the norm of the
-spectral tail.  Jackson kernels are built by exact integer convolution of the
-Dirichlet-type all-ones sequence; quadrature appears only in moment checks.
+spectral tail.  Jackson kernels are built by integer convolution of the
+Dirichlet-type all-ones sequence, exact up to 2**53; quadrature appears only
+in moment checks.
 """
 
 from __future__ import annotations
@@ -56,8 +57,10 @@ def jackson_kernel(n: int, r: int = 0):
     Picks k0 = ceil((r + 2) / 2) and the unique integer p with
     n / (2 k0) < p <= n / (2 k0) + 1, then expands the even power of the sine
     ratio by convolving the length-p all-ones sequence with itself 2*k0 times
-    (exact small-integer arithmetic) and scales so the integral over a period
-    is 1, i.e. the zero coefficient equals 1 / (2 pi).
+    and scales so the integral over a period is 1, i.e. the zero coefficient
+    equals 1 / (2 pi).  The float64 convolution is exact while the centre, the
+    largest coefficient, is at most 2**53 (at n = 4096, r = 5 it is 4.5e18 and
+    the error about 4e-16 relative); an overflowing centre raises ValueError.
 
     Returns (KernelSpec, CoeffSeq).  The kernel degree k0*(p-1) never exceeds
     n / 2, and the kernel is nonnegative as an even power of a real ratio.
@@ -75,6 +78,8 @@ def jackson_kernel(n: int, r: int = 0):
         conv = np.convolve(conv, ones)
     deg = k0 * (p - 1)
     center = conv[deg]
+    if not math.isfinite(center):
+        raise ValueError(f"jackson kernel n={n}, r={r}: coefficients must be finite, centre overflows")
     b_p = 1.0 / (2.0 * math.pi * center)
     spec = KernelSpec(n=int(n), k0=k0, p=p, b_p=float(b_p))
     return spec, CoeffSeq.from_arrays(np.arange(-deg, deg + 1), conv * b_p)

@@ -8,10 +8,11 @@ exactly so for integer alpha.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ._search import golden_max
-from .orlicz import _lux_norm, _lux_rows, luxemburg_norm
+from .orlicz import _LUX_MAX_ITER, _lux_rows, luxemburg_norm
 from .spectrum import CoeffSeq
 
 __all__ = [
@@ -106,8 +107,9 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
 
     alpha = 0 returns the plain norm of f.  The shift norm depends on h only
     through |2 sin(k h / 2)|, which is even in h, so the search runs over
-    [0, delta]: a uniform grid of `grid` points followed by golden-section
-    refinement around the best grid point.  The refined value is a true
+    [0, delta]: a uniform grid of `grid` points, then batches of three
+    interior shifts between the best shift's two neighbours until that
+    bracket is narrower than sqrt(rtol) / max|k|.  The result is a true
     evaluation at some shift, hence always a lower bound for the supremum.
     """
     if not np.all(np.isfinite([alpha, delta])):
@@ -125,16 +127,19 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
     absc = np.abs(cs)
     if ks.size == 0:
         return 0.0
-    hs = np.linspace(0.0, float(delta), grid)
-    block = max(2, 4_000_000 // max(ks.size, 1))
-    g = np.empty(grid)
-    for i in range(0, grid, block):
-        part = hs[i : i + block]
-        w = np.abs(2.0 * np.sin(np.outer(part, ks) * 0.5)) ** alpha * absc[None, :]
-        g[i : i + block] = _lux_rows(w, phi, rtol=rtol)
-    i_best = int(np.argmax(g))
-    _, refined = golden_max(
-        lambda h: _lux_norm(np.abs(2.0 * np.sin(ks * (0.5 * h))) ** alpha * absc, phi, rtol),
-        hs[max(i_best - 1, 0)], hs[min(i_best + 1, grid - 1)], rtol=1e-10,
-    )
-    return max(float(g[i_best]), float(refined))
+    block = max(2, 4_000_000 // ks.size)
+    lo, hi, best = 0.0, float(delta), 0.0
+    hs = np.linspace(lo, hi, grid)
+    for _ in range(_LUX_MAX_ITER):
+        g = np.concatenate([_lux_rows(np.abs(2.0 * np.sin(np.outer(part, ks) * 0.5)) ** alpha * absc,
+                                      phi, rtol=rtol) for part in np.split(hs, range(block, hs.size, block))])
+        i = int(np.argmax(g))
+        best = max(best, float(g[i]))
+        lo, hi = np.concatenate(([lo], hs, [hi]))[[i, i + 2]]
+        # Near an interior maximum the norm is quadratic in h on the scale
+        # 1 / max|k| of its fastest harmonic, so this bracket pins it to ~rtol.
+        # All-zero norms (underflow at a large alpha) have nothing to zoom into.
+        if (hi - lo) * f.max_freq <= math.sqrt(rtol) or best == 0.0:
+            break
+        hs = np.linspace(lo, hi, 5)[1:4]
+    return best

@@ -10,9 +10,9 @@ is computed through the equivalent one-parameter form
 
     inf_{kappa > 0} (1 + sum_k M(kappa |c_k|)) / kappa,
 
-and its correctness is enforced by the two-sided comparison with the
-Luxemburg norm and by dual feasibility, which the test suite checks
-independently of this formula.
+by bisection on the sign of its derivative.  Its correctness is enforced by
+the two-sided comparison with the Luxemburg norm and by dual feasibility,
+which the test suite checks independently of this formula.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-
-from ._search import golden_max, golden_min
 
 __all__ = [
     "OrliczFunction",
@@ -43,9 +41,26 @@ INF = math.inf
 # Maximizer search for the numeric conjugate gives up (declares +inf) here.
 _UNBOUNDED_U = 1e30
 
-# Cap on the Luxemburg bisection: 200 halvings take any bracket far below
-# double precision.
+# Cap on every halving loop: 200 halvings take any bracket far below double
+# precision.
 _LUX_MAX_ITER = 200
+
+
+def _bisect(above, lo, hi, rtol):
+    """Halve [lo, hi] towards the point where the nondecreasing test `above` turns true.
+
+    lo and hi are scalars or aligned arrays of brackets; above(mid) returns a
+    bool of the same shape.  Stops once every bracket has hi - lo <= rtol * hi
+    and returns the final (lo, hi).
+    """
+    for _ in range(_LUX_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        up = above(mid)
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+        if np.all(hi - lo <= rtol * hi):
+            break
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -217,10 +232,10 @@ def from_spec(spec: dict) -> OrliczFunction:
 def conjugate(phi: OrliczFunction, v: float, *, rtol: float = 1e-12) -> float:
     """Young conjugate sup_{u >= 0} (u*v - M(u)); may legitimately be +inf.
 
-    Uses the closed form when the gauge provides one.  Otherwise the concave
-    objective is maximized by golden section after expanding the interval
-    until the maximizer is interior, which happens exactly when the right
-    derivative of M reaches v.  If it never does the supremum is +inf.
+    Uses the closed form when the gauge provides one.  Otherwise the interval
+    is doubled until the right derivative of M reaches v, which brackets the
+    maximizer, and the point where it does so is found by bisection.  If it
+    never does the supremum is +inf.
     """
     v = float(v)
     if v < 0:
@@ -236,8 +251,8 @@ def conjugate(phi: OrliczFunction, v: float, *, rtol: float = 1e-12) -> float:
         hi *= 2.0
         if hi > _UNBOUNDED_U:
             return INF
-    _, best = golden_max(lambda u: u * v - float(phi.eval(u)), 0.0, hi, rtol=rtol)
-    return max(float(best), 0.0)
+    _, u = _bisect(lambda u: phi.right_derivative(u) >= v, 0.0, hi, rtol)
+    return max(float(u * v - phi.eval(u)), 0.0)
 
 
 # -- Luxemburg norm ------------------------------------------------------------
@@ -291,15 +306,8 @@ def _lux_rows(vals, phi, *, rtol=1e-12):
     m_frac = _gauge_inverse(phi, 1.0 / nnz, "lower")
     # Provable bracket: at lo the largest term alone reaches 1; at hi
     # convexity with M(0)=0 pushes the whole sum below 1.
-    lo = row_max[active] / m_one
-    hi = row_sum[active] / m_frac
-    for _ in range(_LUX_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        below = _rho_rows(w, mid, phi) <= 1.0
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-        if np.all(hi - lo <= rtol * hi):
-            break
+    lo, hi = _bisect(lambda a: _rho_rows(w, a, phi) <= 1.0,
+                     row_max[active] / m_one, row_sum[active] / m_frac, rtol)
     out[active] = 0.5 * (lo + hi)
     return out
 
@@ -324,44 +332,24 @@ def luxemburg_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
 def orlicz_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
     """Dual norm sup { sum lam_k |c_k| : sum conj(lam_k) <= 1 }.
 
-    Computed through the scalar form (1 + sum M(kappa |c_k|)) / kappa, whose
-    derivative numerator kappa*rho'(kappa) - rho(kappa) - 1 is nondecreasing,
-    making the objective unimodal in kappa.  When the objective keeps
-    descending (gauges of linear growth) the infimum sits at kappa -> inf and
-    the capped evaluation is returned; the cap scales with 1/||f|| so the
-    absolute error stays ~1e-18 of the norm.
+    Computed as the minimum over kappa > 0 of (1 + rho(kappa)) / kappa with
+    rho(kappa) = sum M(kappa |c_k|), by bisection on [0, 1e18 / ||f||] for the
+    sign change of kappa*rho'(kappa) - rho(kappa) - 1, nondecreasing by
+    convexity; overflow makes it nan, which counts as the rising side.  Gauges
+    of linear growth never change sign: the infimum sits at kappa -> inf, and
+    the evaluation at the cap is within ~1e-18 of the norm.
     """
     a = np.abs(f.as_arrays()[1])
     if a.size == 0:
         return 0.0
-    lux = _lux_norm(a, phi, rtol)
 
-    def g(kappa):
-        with np.errstate(over="ignore"):
-            s = float(np.sum(phi.eval(kappa * a)))
-        return (1.0 + s) / kappa
+    def rising(kappa):
+        rho = np.sum(phi.eval(kappa * a))
+        return not kappa * np.sum(a * phi.right_derivative(kappa * a)) - rho - 1.0 < 0.0
 
-    x = 1.0 / lux
-    lo_cap, hi_cap = 1e-18 * x, 1e18 * x
-    gx = g(x)
-    while x * 0.5 >= lo_cap:
-        down = g(x * 0.5)
-        if down >= gx:
-            break
-        x *= 0.5
-        gx = down
-    capped = True
-    while x * 2.0 <= hi_cap:
-        up = g(x * 2.0)
-        if up >= gx:
-            capped = False
-            break
-        x *= 2.0
-        gx = up
-    if capped:
-        return gx
-    _, val = golden_min(g, x * 0.5, x * 2.0, rtol=1e-11)
-    return float(min(val, gx))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, kappa = _bisect(rising, 0.0, 1e18 / _lux_norm(a, phi, rtol), rtol)
+        return float((1.0 + np.sum(phi.eval(kappa * a))) / kappa)
 
 
 def dual_witness(phi: OrliczFunction, f, *, rtol: float = 1e-12):

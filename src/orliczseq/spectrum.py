@@ -66,9 +66,10 @@ class CoeffSeq:
             raise ValueError("frequencies and amplitudes must be aligned 1-d sequences")
         ks, pos = np.unique(ks, return_inverse=True)
         acc = np.zeros(ks.size, dtype=np.complex128)
-        np.add.at(acc, pos, cs)
-        if not np.isfinite(np.abs(acc)).all():  # |c| overflows for parts near the double limit
-            raise ValueError("coefficients must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects the result
+            np.add.at(acc, pos, cs)
+            if not np.isfinite(np.abs(acc)).all():  # |c| overflows for parts near the double limit
+                raise ValueError("coefficients must be finite")
         keep = acc != 0
         ks, cs = ks[keep], acc[keep]
         ks.flags.writeable = cs.flags.writeable = False

@@ -532,7 +532,7 @@ def direct_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int 
         name="direct",
         params={"family": family, "alpha": float(alpha), "orlicz": phi.spec_dict(),
                 "n_max": int(n_max), "num_funcs": int(num_funcs), "seed": int(seed),
-                "grid": int(grid), "search": "uniform-grid+golden-refine"},
+                "grid": int(grid), "search": "uniform-grid+batched-zoom"},
         tolerance=0.05,
     )
     ns = _log_orders(n_max, 10)
@@ -565,10 +565,10 @@ def inverse_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int
 
     def rows(f):
         errors = np.array([best_approx(f, phi, v, rtol=rtol) for v in range(1, n_max + 1)])
-        weighted = np.cumsum(nu ** (alpha - 1.0) * errors)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow at a large alpha fails the row
+            rhs = np.cumsum(nu ** (alpha - 1.0) * errors) / nu ** alpha
         for n in ns:
-            w = modulus(f, phi, alpha, 1.0 / n, grid=grid, rtol=rtol)
-            yield f"n={n}", w, weighted[n - 1] / n ** alpha
+            yield f"n={n}", modulus(f, phi, alpha, 1.0 / n, grid=grid, rtol=rtol), rhs[n - 1]
 
     _sweep(report, family, num_funcs, seed, rows, math.isfinite)
     return report.finalize()

@@ -279,3 +279,17 @@ def test_constant_kernel_needs_no_convolutions():
     spec, kern = jackson_kernel(4, 10**7)
     assert spec.p == 1 and spec.degree == 0
     assert kern == CoeffSeq({0: 1.0 / (2.0 * math.pi)})
+
+
+def test_kernel_beyond_2_53_stays_within_rounding_of_the_integer_convolution():
+    # the centre is 4.48e18: above 2**53, so the float64 convolution rounds,
+    # but below 2**63, so the int64 reference is exact
+    spec, kern = jackson_kernel(4096, 5)
+    ones = np.ones(spec.p, dtype=np.int64)
+    ref = ones
+    for _ in range(2 * spec.k0 - 1):
+        ref = np.convolve(ref, ones)
+    assert 2**53 < int(ref.max()) < 2**63
+    got = [round(c / spec.b_p) for c in kern.as_arrays()[1].real.tolist()]
+    assert len(got) == ref.size
+    assert max(abs(g - r) / r for g, r in zip(got, ref.tolist())) <= 1e-15

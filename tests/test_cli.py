@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +174,27 @@ def test_verify_direct_with_vanishing_modulus_exits_1(capsys):
             "--grid", "2"]
     assert run(argv) == 1
     assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def _cli_subprocess(*argv):
+    """The CLI in a fresh interpreter, so numpy warnings reach stderr as a user sees them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "orliczseq.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_kernel_overflow_prints_one_error_line_naming_n_and_r():
+    proc = _cli_subprocess("kernel", "--n", "4096", "--r", "300")
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "n=4096" in lines[0] and "r=300" in lines[0]
+
+
+def test_verify_inverse_with_overflowing_weights_exits_1_without_warnings():
+    proc = _cli_subprocess("verify", "inverse", "--alpha", "200", "--family", "lacunary",
+                           "--n-max", "128", "--grid", "2")
+    assert proc.returncode == 1
+    assert proc.stderr == ""  # in particular no RuntimeWarning
+    assert json.loads(proc.stdout)["passed"] is False

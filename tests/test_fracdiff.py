@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sparse_seq
+from orliczseq import fracdiff, orlicz
 from orliczseq.fracdiff import (
     binom,
     frac_difference,
@@ -229,3 +230,46 @@ def test_binom_matches_the_product_loop():
 def test_modulus_rejects_non_finite_order_and_scale(alpha, delta):
     with pytest.raises(ValueError, match="finite"):
         modulus(CoeffSeq({1: 1.0}), P2, alpha, delta)
+
+
+# -- batched zoom ------------------------------------------------------------------
+
+
+def _modulus_with_batches(monkeypatch, f, phi, alpha, delta, grid):
+    """modulus(...) together with the norm batches it solved, in call order.
+
+    Every Luxemburg solve, batched or single-row, goes through orlicz._lux_rows.
+    """
+    batches = []
+    solve = orlicz._lux_rows
+
+    def recorded(vals, phi, **kw):
+        batches.append(solve(vals, phi, **kw))
+        return batches[-1]
+
+    for module in (orlicz, fracdiff):
+        monkeypatch.setattr(module, "_lux_rows", recorded)
+    return modulus(f, phi, alpha, delta, grid=grid), batches
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one()], ids=str)
+@pytest.mark.parametrize("support", [1, 9, 33])
+def test_modulus_zooms_in_few_batches(monkeypatch, phi, support):
+    # the zoom halves a bracket of two grid steps until it is sqrt(rtol) / max|k|
+    # wide: 1 + ceil(log2(2 delta max|k| / (63 * 1e-6))) <= 20 batches while
+    # delta * max|k| <= 13.2
+    rng = np.random.default_rng(support)
+    ks = np.arange(1, support + 1)
+    f = CoeffSeq.from_arrays(ks, rng.standard_normal(support) / ks)
+    for alpha, delta in ((1.0, 0.4), (1.5, 0.3), (0.5, 1 / 16)):
+        got, batches = _modulus_with_batches(monkeypatch, f, phi, alpha, delta, 64)
+        assert len(batches) <= 20
+        assert got >= batches[0].max()
+
+
+@pytest.mark.parametrize("phi, scale", [(P2, 1.0), (exp_minus_one(), 1.0 / math.log(2.0))], ids=str)
+def test_modulus_of_one_harmonic_zooms_to_its_closed_form(monkeypatch, phi, scale):
+    # |2 sin(64 h / 2)| peaks at 2 inside [0, 1], between grid points
+    got, batches = _modulus_with_batches(monkeypatch, CoeffSeq({64: 1}), phi, 1.0, 1.0, 64)
+    assert got == pytest.approx(2.0 * scale, rel=1e-11)
+    assert got >= batches[0].max()

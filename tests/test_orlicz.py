@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,3 +239,28 @@ def test_dual_witness_guarantees(phi):
 def test_huge_exponents_raise_value_error_naming_the_gauge(family, p):
     with pytest.raises(ValueError, match=family.__name__):
         family(p)
+
+
+def _dense_dual(phi, a):
+    """inf over kappa of (1 + sum M(kappa a)) / kappa by a log scan, then a local linear scan."""
+
+    def g(kappa):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (1.0 + phi.eval(np.outer(kappa, a)).sum(axis=1)) / kappa
+
+    kappa = np.geomspace(1e-12, 1e12, 48_001)
+    i = int(np.argmin(g(kappa)))
+    kappa = np.linspace(kappa[i - 1], kappa[i + 1], 20_001)
+    return float(np.min(g(kappa)))
+
+
+@pytest.mark.parametrize("entries", [{1: 1e-3, 2: 1e3}, {1: 700}, {1: 0.5, -3: 40.0, 7: 2.0}])
+def test_orlicz_norm_overflowing_inside_the_bracket_matches_a_dense_scan(entries):
+    # exp(kappa |c|) overflows for most of [0, 1e18 / ||f||]; no warning may escape
+    phi, f = exp_minus_one(), CoeffSeq(entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = orlicz_norm(phi, f)
+    assert got == pytest.approx(_dense_dual(phi, np.abs(f.as_arrays()[1])), rel=1e-9)
+    if entries == {1: 700}:
+        assert got == pytest.approx(700.0 * math.e, rel=1e-12)  # one term: min of e^(kappa c) / kappa

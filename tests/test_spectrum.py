@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,3 +252,10 @@ def test_mixed_float_and_large_int_keys_stay_exact():
     assert f.support == (2, 2**62 + 1)
     assert f[2**62 + 1] == 3.0 and f[2**62] == 0j
     assert CoeffSeq.from_arrays([2.0, 2**62 + 1], [1.0, 3.0]) == f
+
+
+def test_overflowing_sum_raises_value_error_without_a_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            CoeffSeq([(1, 1e308), (1, 1e308)])

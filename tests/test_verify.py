@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,3 +258,12 @@ def test_zero_modulus_fails_the_row_instead_of_raising():
     assert not rep.passed
     bad = [s for s in rep.samples if not s["ok"]]
     assert bad and all(not math.isfinite(s["ratio"]) for s in bad if s["descriptor"] != "stabilization")
+
+
+def test_inverse_weights_overflowing_at_a_large_order_fail_the_row():
+    # nu**(alpha - 1) and n**alpha overflow at alpha = 200, n = 128
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = inverse_report("lacunary", 200.0, P2, n_max=128, num_funcs=1, grid=2)
+    assert not rep.passed
+    assert any(not math.isfinite(s["ratio"]) for s in rep.samples)
