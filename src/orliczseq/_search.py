@@ -1,7 +1,5 @@
 """Scalar golden-section search; it serves only the K-functional's coordinate polish."""
 
-from __future__ import annotations
-
 import math
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -7,16 +7,14 @@ Dirichlet-type all-ones sequence, exact up to 2**53; quadrature appears only
 in moment checks.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fracdiff import _signed_coeffs
-from .orlicz import luxemburg_norm
-from .spectrum import CoeffSeq, PsiWeights, _as_int, psi_derivative, tail
+from .orlicz import _window_norms, luxemburg_norm
+from .spectrum import CoeffSeq, PsiWeights, _as_int, psi_derivative
 
 __all__ = [
     "best_approx",
@@ -34,7 +32,7 @@ def best_approx(f: CoeffSeq, phi, n: int, *, rtol: float = 1e-12) -> float:
     """Distance from f to the degree-(n-1) polynomials: the norm of the |k| >= n tail."""
     if n < 1:
         raise ValueError("approximation order must be >= 1")
-    return luxemburg_norm(phi, tail(f, n), rtol=rtol)
+    return float(_window_norms(f, phi, [n], np.inf, rtol)[0])
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,10 @@ produce byte-identical output (floats in JSON reports are printed at 17
 significant digits).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import approx, fracdiff, kfunc, orlicz, spectrum, verify
@@ -139,6 +138,8 @@ _SCALAR = {
 
 def _dispatch(parser, args) -> int:
     cmd = args.command
+    if not 0.0 <= getattr(args, "tol", 0.0) < 1.0:  # negative, NaN, infinite or >= 1 brackets nothing
+        parser.error(f"--tol must be a number in [0, 1), got {args.tol}")
     if cmd in _SCALAR:
         required, value = _SCALAR[cmd]
         _require(parser, args, *required)
@@ -149,9 +150,7 @@ def _dispatch(parser, args) -> int:
         phi = _load_gauge(parser, args)
         f = _load_input(parser, args)
         est = kfunc.k_functional(f, phi, args.alpha, args.delta, args.n, rtol=args.tol)
-        payload = {"value": est.value, "minimizer_degree": est.minimizer_degree,
-                   "candidates_tried": est.candidates_tried, "refine_used": est.refine_used}
-        _emit(args.output, verify.format_json(payload) + "\n")
+        _emit(args.output, verify.format_json(asdict(est)) + "\n")  # the KEstimate fields, in order
     elif cmd == "kernel":
         _require(parser, args, "n", "r")
         if not args.r.is_integer():
@@ -159,9 +158,7 @@ def _dispatch(parser, args) -> int:
         spec, kern = approx.jackson_kernel(args.n, int(args.r))
         spectrum.write_coeffs(kern, args.output or sys.stdout)
         if args.output:
-            meta = {"n": spec.n, "k0": spec.k0, "p": spec.p, "b_p": spec.b_p,
-                    "degree": spec.degree}
-            sys.stdout.write(verify.format_json(meta) + "\n")
+            sys.stdout.write(verify.format_json({**asdict(spec), "degree": spec.degree}) + "\n")
     elif cmd == "sigma":
         _require(parser, args, "n")
         f = _load_input(parser, args)

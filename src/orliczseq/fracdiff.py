@@ -6,13 +6,11 @@ as an independent oracle: its partial sums must converge to the multiplier,
 exactly so for integer alpha.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np
 
-from .orlicz import _LUX_MAX_ITER, _lux_rows, luxemburg_norm
+from .orlicz import _LUX_MAX_ITER, _blocks, _lux_rows, luxemburg_norm
 from .spectrum import CoeffSeq
 
 __all__ = [
@@ -105,41 +103,56 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
             *, rtol: float = 1e-12) -> float:
     """Smoothness modulus sup_{|h| <= delta} of the difference norm.
 
-    alpha = 0 returns the plain norm of f.  The shift norm depends on h only
-    through |2 sin(k h / 2)|, which is even in h, so the search runs over
-    [0, delta]: a uniform grid of `grid` points, then batches of three
-    interior shifts between the best shift's two neighbours until that
-    bracket is narrower than sqrt(rtol) / max|k|.  The result is a true
-    evaluation at some shift, hence always a lower bound for the supremum.
+    alpha = 0 returns the plain norm of f.  The shift norm is even in h, so
+    the search runs over [0, delta]: a uniform grid of `grid` points, then a
+    zoom on the bracket around the best grid shift (the end cell when that is
+    0 or delta).  Each step solves the midpoints between the bracket's centre
+    and its ends and centres a bracket half as wide on the best of the three,
+    until it is narrower than sqrt(rtol) / max|k|.  The result is the largest
+    norm met, so always a lower bound for the supremum.
     """
-    if not np.all(np.isfinite([alpha, delta])):
+    return float(_moduli(f, phi, alpha, [delta], grid, rtol)[0])
+
+
+def _moduli(f, phi, alpha, deltas, grid, rtol):
+    """modulus at every delta in deltas; the grid and each zoom step are one batch for all deltas."""
+    deltas = np.asarray(deltas, dtype=float)
+    if not np.all(np.isfinite(np.append(deltas, alpha))):
         raise ValueError("modulus order and delta must be finite")
     if alpha < 0:
         raise ValueError("modulus order must be nonnegative")
     if alpha == 0:
-        return luxemburg_norm(phi, f, rtol=rtol)
-    if not delta > 0:
+        return np.full(deltas.size, luxemburg_norm(phi, f, rtol=rtol))
+    if not np.all(deltas > 0):
         raise ValueError("delta must be positive")
     grid = int(grid)
     if grid < 2:
         raise ValueError("need at least two grid points")
     ks, cs = f.as_arrays()
-    absc = np.abs(cs)
-    if ks.size == 0:
-        return 0.0
-    block = max(2, 4_000_000 // ks.size)
-    lo, hi, best = 0.0, float(delta), 0.0
-    hs = np.linspace(lo, hi, grid)
+
+    def norms(hs):
+        return np.concatenate([_lux_rows(np.abs(2.0 * np.sin(np.outer(hs[s], ks) * 0.5)) ** alpha * np.abs(cs),
+                                         phi, rtol=rtol) for s in _blocks(hs.size, ks.size)])
+
+    hs = np.linspace(0.0, deltas, grid, axis=1)
+    g = norms(hs.ravel()).reshape(hs.shape)
+    i, step = g.argmax(axis=1), deltas / (grid - 1)
+    best = g[np.arange(deltas.size), i]
+    # the bracket c -+ w and the norm gc at its centre, unsolved (nan) in an end cell
+    edge = (i == 0) | (i == grid - 1)
+    c = np.clip(i * step, step / 2.0, deltas - step / 2.0)
+    w, gc = np.where(edge, step / 2.0, step), np.where(edge, np.nan, best)
     for _ in range(_LUX_MAX_ITER):
-        g = np.concatenate([_lux_rows(np.abs(2.0 * np.sin(np.outer(part, ks) * 0.5)) ** alpha * absc,
-                                      phi, rtol=rtol) for part in np.split(hs, range(block, hs.size, block))])
-        i = int(np.argmax(g))
-        best = max(best, float(g[i]))
-        lo, hi = np.concatenate(([lo], hs, [hi]))[[i, i + 2]]
         # Near an interior maximum the norm is quadratic in h on the scale
         # 1 / max|k| of its fastest harmonic, so this bracket pins it to ~rtol.
         # All-zero norms (underflow at a large alpha) have nothing to zoom into.
-        if (hi - lo) * f.max_freq <= math.sqrt(rtol) or best == 0.0:
+        o = np.flatnonzero((2.0 * w * f.max_freq > math.sqrt(rtol)) & (best > 0.0))
+        if not o.size:
             break
-        hs = np.linspace(lo, hi, 5)[1:4]
+        pts = c[o, None] + np.outer(w[o], [-0.5, 0.0, 0.5])
+        vals = np.column_stack([np.full(o.size, np.nan), gc[o], np.full(o.size, np.nan)])
+        vals[np.isnan(vals)] = norms(pts[np.isnan(vals)])
+        j, r = vals.argmax(axis=1), np.arange(o.size)
+        c[o], gc[o], w[o] = pts[r, j], vals[r, j], w[o] / 2.0
+        best[o] = np.fmax(best[o], gc[o])
     return best

@@ -8,8 +8,6 @@ candidate coefficient by coefficient.  The returned estimate is therefore an
 upper bound on the unrelaxed infimum.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -17,7 +15,7 @@ import numpy as np
 
 from ._search import golden_min
 from .fracdiff import frac_difference
-from .orlicz import _lux_norm, luxemburg_norm
+from .orlicz import _lux_norm, _window_norms, luxemburg_norm
 from .spectrum import CoeffSeq, PsiWeights, psi_derivative
 
 __all__ = ["KEstimate", "k_functional", "difference_derivative_bracket"]
@@ -44,63 +42,67 @@ def k_functional(f: CoeffSeq, phi, alpha: float, delta: float, n_band: int | Non
                  *, polish: bool = True, rtol: float = 1e-12) -> KEstimate:
     """Minimize ||f - h|| + delta**alpha ||h^(alpha)|| over band-limited h.
 
-    Phase one scans h over the partial sums of f up to degree n_band (default:
-    the largest support frequency).  Phase two, enabled by `polish`, runs
-    three sweeps of per-coefficient shrinkage c_k in [0, 1] on the best
-    candidate; the objective is convex in each c_k as a sum of two norms of
-    affine maps, so a golden line search per coordinate suffices.  Ties in
-    the scan go to the smallest degree.
+    Phase one scans h = 0 and the partial sums of f up to degree n_band
+    (default: the largest support frequency).  The sum at radius m costs
+    T_m + delta**alpha D_m with T_m = ||(c_k)_{|k|>m}|| and
+    D_m = ||(|k|**alpha c_k)_{0<|k|<=m}||, all T_m one batched solve and all
+    D_m another; ties go to h = 0, then to the smallest degree.  Phase two,
+    enabled by `polish`, runs three sweeps of per-coefficient shrinkage c_k in
+    [0, 1] on the best candidate; the objective is convex in each c_k as a sum
+    of two norms of affine maps, so a golden line search per coordinate suffices.
     """
+    return _k_functionals(f, phi, alpha, [delta], n_band, polish, rtol)[0]
+
+
+def _k_functionals(f, phi, alpha, deltas, n_band, polish, rtol):
+    """k_functional at every delta in deltas, from one batch of tail norms and one of head norms."""
+    deltas = np.asarray(deltas, dtype=float)
     if not alpha > 0:
         raise ValueError("derivative order must be positive")
-    if not delta > 0:
+    if not np.all(deltas > 0):
         raise ValueError("delta must be positive")
-    ks, cs = f.as_arrays()
-    absc = np.abs(cs)
-    if n_band is None:
-        n_band = f.max_freq
-    n_band = int(n_band)
+    with np.errstate(over="ignore"):
+        dpows = deltas ** alpha
+    if not (math.isfinite(alpha) and np.all(np.isfinite(dpows))):
+        raise ValueError("derivative order, delta and delta ** alpha must be finite")
+    absk, absc = map(np.abs, f.as_arrays())
+    n_band = f.max_freq if n_band is None else int(n_band)
     if n_band < 0:
         raise ValueError("band must be nonnegative")
-    absk = np.abs(ks)
-    dpow = float(delta) ** alpha
     deriv_w = np.where(absk > 0, absk.astype(float) ** alpha, 0.0) * absc
 
-    # h = 0 plus the degrees where the partial sum actually changes.
-    radii = sorted({int(r) for r in absk if r <= n_band} | ({0} if n_band >= 0 else set()))
-    candidates = [(-1, _lux_norm(absc, phi, rtol))]
-    for m in radii:
-        inside = absk <= m
-        val = _lux_norm(absc[~inside], phi, rtol) + dpow * _lux_norm(deriv_w[inside & (absk > 0)], phi, rtol)
-        candidates.append((m, val))
-    best_m, best_val = min(candidates, key=lambda c: c[1])
+    # h = 0 (the whole tail, no head) plus the degrees where the partial sum changes.
+    radii = np.array(sorted({0, *absk[absk <= n_band].tolist()}))
+    degrees = np.append(-1, radii)
+    tails = _window_norms(f, phi, np.append(0, radii + 1), np.inf, rtol)
+    heads = np.append(0.0, _window_norms(f, phi, 1, radii, rtol, deriv_w))
+    out = []
+    for dpow, row in zip(dpows, tails + dpows[:, None] * heads):
+        best = int(np.argmin(row))  # the first minimum
+        m, value = int(degrees[best]), row[best]
+        refine = bool(polish and m >= 0)
+        if refine:
+            value = min(value, _polish(absc, absk, deriv_w, m, dpow, phi, rtol))
+        out.append(KEstimate(float(value), m, degrees.size, refine))
+    return out
 
-    refined = False
-    if polish and best_m >= 0 and absc.size:
-        inside = absk <= best_m
-        c = np.where(inside, 1.0, 0.0)
 
-        def objective():
-            res = absc * np.abs(1.0 - c)
-            return _lux_norm(res, phi, rtol) + dpow * _lux_norm((deriv_w * c)[inside & (absk > 0)], phi, rtol)
+def _polish(absc, absk, deriv_w, best_m, dpow, phi, rtol):
+    """The objective after three coordinate sweeps of golden search from the radius-best_m partial sum."""
+    inside = absk <= best_m
+    c = np.where(inside, 1.0, 0.0)
 
-        coords = np.flatnonzero(inside)
-        for _ in range(3):
-            for i in coords:
-                def line(t, i=i):
-                    c[i] = t
-                    return objective()
-                t_best, v_best = golden_min(line, 0.0, 1.0, rtol=1e-6, atol=1e-9)
-                c[i] = t_best
-        refined = True
-        best_val = min(best_val, objective())
+    def objective():
+        res = absc * np.abs(1.0 - c)
+        return _lux_norm(res, phi, rtol) + dpow * _lux_norm((deriv_w * c)[inside & (absk > 0)], phi, rtol)
 
-    return KEstimate(
-        value=float(best_val),
-        minimizer_degree=int(best_m),
-        candidates_tried=len(candidates),
-        refine_used=refined,
-    )
+    for _ in range(3):
+        for i in np.flatnonzero(inside):
+            def line(t, i=i):
+                c[i] = t
+                return objective()
+            c[i] = golden_min(line, 0.0, 1.0, rtol=1e-6, atol=1e-9)[0]
+    return objective()
 
 
 def difference_derivative_bracket(tau: CoeffSeq, phi, alpha: float, n: int, h: float,

@@ -6,8 +6,6 @@ diagonally on these coefficients, so this representation is exact; truncation
 only enters when a signal is ingested from samples.
 """
 
-from __future__ import annotations
-
 import json
 import sys
 from pathlib import Path

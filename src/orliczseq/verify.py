@@ -8,19 +8,16 @@ systematic growth is detected.  Every report is reproducible from
 digits) or CSV.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .approx import best_approx
-from .fracdiff import modulus
-from .kfunc import k_functional
-from .orlicz import OrliczFunction
+from .fracdiff import _moduli
+from .kfunc import _k_functionals
+from .orlicz import OrliczFunction, _window_norms
 from .spectrum import CoeffSeq
 
 __all__ = [
@@ -112,14 +109,7 @@ class Report:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "empirical_constant": self.empirical_constant,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return format_json(self.to_dict()) + "\n"
@@ -163,10 +153,7 @@ def _trailing_slope(xs, ys, last_fraction=0.5, *, log_y=True):
     """
     pairs = [(x, y) for x, y in zip(xs, ys)
              if x > 0 and math.isfinite(y) and (y > 0 or not log_y)]
-    if len(pairs) < 3:
-        return 0.0
-    start = int(len(pairs) * (1.0 - last_fraction))
-    pairs = pairs[start:]
+    pairs = pairs[int(len(pairs) * (1.0 - last_fraction)):]
     if len(pairs) < 3:
         return 0.0
     lx = np.log([p[0] for p in pairs])
@@ -178,7 +165,7 @@ def _log_orders(n_max, num):
     """Distinct integer parts of num log-spaced points on [1, n_max]."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    return np.unique(np.geomspace(1, n_max, num=num).astype(int)).tolist()
+    return sorted(set(np.geomspace(1, n_max, num=num).astype(int).tolist()))  # np.unique imports numpy.ma
 
 
 # -- majorants ------------------------------------------------------------------------
@@ -376,7 +363,7 @@ def classify(f_or_errors, phi: OrliczFunction, omega: MajorantOmega, alpha: floa
 
     if isinstance(f_or_errors, CoeffSeq):
         f = f_or_errors
-        errors = [best_approx(f, phi, n, rtol=rtol) for n in range(1, n_max + 1)]
+        errors = _window_norms(f, phi, np.arange(1, n_max + 1), np.inf, rtol).tolist()
     else:
         f = None
         errors = [float(e) for e in f_or_errors]
@@ -409,8 +396,7 @@ def classify(f_or_errors, phi: OrliczFunction, omega: MajorantOmega, alpha: floa
         if deltas is None:
             deltas = np.geomspace(1.0 / n_max, 1.0, 9)
         ratios_w = []
-        for d in deltas:
-            w = modulus(f, phi, alpha, float(d), grid=grid, rtol=rtol)
+        for d, w in zip(deltas, _moduli(f, phi, alpha, deltas, grid, rtol).tolist()):
             r = w / omega(float(d))
             ratios_w.append(r)
             report.add(f"omega delta={d:.6g}", w, omega(float(d)), r, math.isfinite(r))
@@ -452,7 +438,7 @@ def rates_report(beta: float, alpha: float, phi: OrliczFunction, band: int = 409
 
     quadratic = phi.name == "power" and phi.param == 2.0
     ts = [2.0 ** (-j) for j in range(j_min, j_max + 1)]
-    omegas = [modulus(f, phi, alpha, t, grid=grid, rtol=rtol) for t in ts]
+    omegas = _moduli(f, phi, alpha, ts, grid, rtol).tolist()
 
     report = Report(
         name="rates",
@@ -495,13 +481,14 @@ def rates_report(beta: float, alpha: float, phi: OrliczFunction, band: int = 409
 _PROBES = [(f"harmonic k={k}", CoeffSeq({k: 1.0})) for k in (1, 3, 16, 64)]
 
 
-def _sweep(report, family, num_funcs, seed, rows, ok):
+def _sweep(report, family, num_funcs, seed, suffixes, ok, rows):
     """Add the rows of every swept member to the report, then the stabilization row.
 
-    rows(f) yields (suffix, lhs, rhs) for one member; the row's ratio is
-    lhs / rhs in IEEE arithmetic, so a zero rhs gives inf or nan, and ok(ratio)
-    is its verdict.  Members without a nonconstant frequency are skipped.  Sets
-    the empirical constant to the running sup and returns the ratios.
+    rows(f) returns one member's lhs and rhs values, aligned with suffixes and
+    each solved as one batch; the row's ratio is lhs / rhs in IEEE arithmetic,
+    so a zero rhs gives inf or nan, and ok(ratio) is its verdict.  Members
+    without a nonconstant frequency are skipped.  Sets the empirical constant
+    to the running sup and returns the ratios.
     """
     gen, rng = generator(family), np.random.default_rng(seed)
     members = _PROBES + [(f"{family}[{i}]", gen(rng)) for i in range(num_funcs)]
@@ -509,7 +496,7 @@ def _sweep(report, family, num_funcs, seed, rows, ok):
     for label, f in members:
         if f.max_freq == 0:
             continue
-        for suffix, lhs, rhs in rows(f):
+        for suffix, lhs, rhs in zip(suffixes, *rows(f)):
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios.append(float(np.float64(lhs) / rhs))
             report.add(f"{label} {suffix}", lhs, rhs, ratios[-1], ok(ratios[-1]))
@@ -535,15 +522,9 @@ def direct_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int 
                 "grid": int(grid), "search": "uniform-grid+batched-zoom"},
         tolerance=0.05,
     )
-    ns = _log_orders(n_max, 10)
-
-    def rows(f):
-        for n in ns:
-            e = best_approx(f, phi, n, rtol=rtol)
-            w = modulus(f, phi, alpha, 1.0 / n, grid=grid, rtol=rtol)
-            yield f"n={n}", e, w
-
-    _sweep(report, family, num_funcs, seed, rows, math.isfinite)
+    ns = np.array(_log_orders(n_max, 10))
+    _sweep(report, family, num_funcs, seed, [f"n={n}" for n in ns], math.isfinite,
+           lambda f: (_window_norms(f, phi, ns, np.inf, rtol), _moduli(f, phi, alpha, 1.0 / ns, grid, rtol)))
     return report.finalize()
 
 
@@ -560,17 +541,15 @@ def inverse_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int
                 "grid": int(grid)},
         tolerance=0.05,
     )
-    ns = _log_orders(n_max, 10)
+    ns = np.array(_log_orders(n_max, 10))
     nu = np.arange(1, n_max + 1, dtype=float)
 
     def rows(f):
-        errors = np.array([best_approx(f, phi, v, rtol=rtol) for v in range(1, n_max + 1)])
         with np.errstate(over="ignore", invalid="ignore"):  # overflow at a large alpha fails the row
-            rhs = np.cumsum(nu ** (alpha - 1.0) * errors) / nu ** alpha
-        for n in ns:
-            yield f"n={n}", modulus(f, phi, alpha, 1.0 / n, grid=grid, rtol=rtol), rhs[n - 1]
+            rhs = np.cumsum(nu ** (alpha - 1.0) * _window_norms(f, phi, nu, np.inf, rtol)) / nu ** alpha
+        return _moduli(f, phi, alpha, 1.0 / ns, grid, rtol), rhs[ns - 1]
 
-    _sweep(report, family, num_funcs, seed, rows, math.isfinite)
+    _sweep(report, family, num_funcs, seed, [f"n={n}" for n in ns], math.isfinite, rows)
     return report.finalize()
 
 
@@ -595,13 +574,10 @@ def equivalence_report(family: str, alpha: float, phi: OrliczFunction, *, deltas
         tolerance=0.05,
     )
 
-    def rows(f):
-        for d in deltas:
-            w = modulus(f, phi, alpha, float(d), grid=grid, rtol=rtol)
-            kval = k_functional(f, phi, alpha, float(d), polish=polish, rtol=rtol).value
-            yield f"delta={float(d):.6g}", kval, w
-
-    ratios = _sweep(report, family, num_funcs, seed, rows, lambda r: 0.0 < r < math.inf)
+    ratios = _sweep(report, family, num_funcs, seed, [f"delta={float(d):.6g}" for d in deltas],
+                    lambda r: 0.0 < r < math.inf,
+                    lambda f: ([k.value for k in _k_functionals(f, phi, alpha, deltas, None, polish, rtol)],
+                               _moduli(f, phi, alpha, deltas, grid, rtol)))
     c1 = min(ratios) if ratios else 0.0
     c2 = max(ratios) if ratios else 0.0
     report.add("lower-envelope", c1, 0.0, c1, c1 > 0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse_seq
+from orliczseq import orlicz
 from orliczseq.approx import (
     best_approx,
     jackson_approximant,
@@ -15,8 +16,8 @@ from orliczseq.approx import (
     residual_multipliers,
 )
 from orliczseq.fracdiff import modulus
-from orliczseq.orlicz import exp_minus_one, luxemburg_norm, power
-from orliczseq.spectrum import CoeffSeq, PsiWeights, evaluate
+from orliczseq.orlicz import exp_minus_one, luxemburg_norm, power, power_log
+from orliczseq.spectrum import CoeffSeq, PsiWeights, evaluate, tail
 
 P2 = power(2)
 
@@ -51,6 +52,20 @@ def test_best_approx_subadditive():
 
 def _norm_of_residual(f, phi, cand):
     return luxemburg_norm(phi, f - cand)
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+def test_tail_ladder_matches_one_norm_per_order(phi):
+    rng = np.random.default_rng(36)
+    for _ in range(4):
+        f = random_sparse_seq(rng, band=40, max_terms=30)
+        ns = np.arange(1, 45)
+        one_by_one = [luxemburg_norm(phi, tail(f, int(n))) for n in ns]
+        ladder = orlicz._window_norms(f, phi, ns, np.inf, 1e-12)
+        assert ladder.tolist() == pytest.approx(one_by_one, rel=1e-12, abs=0.0)
+        assert np.all(np.diff(ladder) <= 1e-12 * ladder[1:])
+        # a single order solves exactly the tail's entries: the same bits
+        assert [best_approx(f, phi, int(n)) for n in ns] == one_by_one
 
 
 def test_tail_formula_matches_free_minimization():

@@ -198,3 +198,21 @@ def test_verify_inverse_with_overflowing_weights_exits_1_without_warnings():
     assert proc.returncode == 1
     assert proc.stderr == ""  # in particular no RuntimeWarning
     assert json.loads(proc.stdout)["passed"] is False
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [["norm"], ["omega", "--delta", "0.5"]], ids=" ".join)
+def test_negative_or_non_finite_tol_is_a_usage_error_naming_tol(coeff_file, capsys, command, tol):
+    path = coeff_file("t.jsonl", {-2: 0.5 + 0.25j, 0: 1.0, 3: -1.0 + 2.0j})
+    assert run([*command, "--input", path, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol" in captured.err
+
+
+def test_kfunc_with_a_non_finite_order_or_overflowing_scale_prints_one_error_line(coeff_file):
+    path = coeff_file("t.jsonl", {-2: 0.5 + 0.25j, 0: 1.0, 3: -1.0 + 2.0j})
+    for alpha, delta in (("inf", "0.5"), ("2", "1e200")):
+        proc = _cli_subprocess("kfunc", "--alpha", alpha, "--delta", delta, "--input", path)
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()  # in particular no RuntimeWarning
+        assert len(lines) == 1 and lines[0].startswith("error:") and "finite" in lines[0]

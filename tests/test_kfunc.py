@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse_seq
+from orliczseq import kfunc
 from orliczseq.fracdiff import modulus
 from orliczseq.kfunc import difference_derivative_bracket, k_functional
-from orliczseq.orlicz import exp_minus_one, luxemburg_norm, power
+from orliczseq.orlicz import _lux_norm, exp_minus_one, luxemburg_norm, power, power_log
 from orliczseq.spectrum import CoeffSeq, PsiWeights, fourier_sum, psi_derivative
 
 P2 = power(2)
@@ -80,6 +81,46 @@ def test_rejects_bad_arguments():
         k_functional(f, P2, 1.0, 0.0)
     with pytest.raises(ValueError):
         k_functional(f, P2, 1.0, 0.5, -2)
+
+
+def test_rejects_non_finite_order_or_scale_and_an_overflowing_scale_power():
+    f = CoeffSeq({1: 1.0, 3: 2.0})
+    for alpha, delta in ((math.inf, 0.5), (1.0, math.inf), (2.0, 1e200)):
+        with pytest.raises(ValueError, match="finite"):
+            k_functional(f, P2, alpha, delta)
+    for alpha, delta in ((math.nan, 0.5), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            k_functional(f, P2, alpha, delta)
+
+
+def _scan_per_radius(f, phi, alpha, delta, rtol=1e-12):
+    """The partial-sum scan one radius at a time: two scalar solves per candidate."""
+    ks, cs = f.as_arrays()
+    absc, absk = np.abs(cs), np.abs(ks)
+    dpow = float(delta) ** alpha
+    deriv_w = np.where(absk > 0, absk.astype(float) ** alpha, 0.0) * absc
+    radii = sorted({int(r) for r in absk} | {0})
+    candidates = [(-1, _lux_norm(absc, phi, rtol))]
+    for m in radii:
+        inside = absk <= m
+        val = _lux_norm(absc[~inside], phi, rtol) + dpow * _lux_norm(deriv_w[inside & (absk > 0)], phi, rtol)
+        candidates.append((m, val))
+    best_m, best_val = min(candidates, key=lambda c: c[1])
+    return best_val, best_m, len(candidates)
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+def test_batched_scan_matches_the_per_radius_loop(phi):
+    rng = np.random.default_rng(35)
+    deltas = (0.01, 0.1, 0.4, 1.0, 3.0)
+    for _ in range(6):
+        f = random_sparse_seq(rng, band=24, max_terms=10)
+        alpha = float(rng.uniform(0.5, 2.0))
+        for delta, est in zip(deltas, kfunc._k_functionals(f, phi, alpha, deltas, None, False, 1e-12)):
+            value, degree, tried = _scan_per_radius(f, phi, alpha, delta)
+            assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert (est.minimizer_degree, est.candidates_tried) == (degree, tried)
+            assert k_functional(f, phi, alpha, delta, polish=False) == est
 
 
 # -- difference vs derivative bracket --------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import power_decay_seq
+from orliczseq import fracdiff, orlicz
 from orliczseq.orlicz import power
 from orliczseq.spectrum import CoeffSeq
 from orliczseq.verify import (
@@ -267,3 +268,25 @@ def test_inverse_weights_overflowing_at_a_large_order_fail_the_row():
         rep = inverse_report("lacunary", 200.0, P2, n_max=128, num_funcs=1, grid=2)
     assert not rep.passed
     assert any(not math.isfinite(s["ratio"]) for s in rep.samples)
+
+
+@pytest.mark.parametrize("sweep, kwargs, bound", [
+    (direct_report, {"n_max": 128}, 30),
+    (inverse_report, {"n_max": 128}, 30),
+    (equivalence_report, {}, 40),
+], ids=["direct", "inverse", "equivalence"])
+def test_sweeps_solve_each_member_in_few_batches(monkeypatch, sweep, kwargs, bound):
+    # one zoom for all of a member's moduli, one batch for all of its E_n and
+    # one each for its K tails and heads
+    calls = []
+    solve = orlicz._lux_rows
+
+    def counted(vals, phi, **kw):
+        calls.append(len(vals))
+        return solve(vals, phi, **kw)
+
+    for module in (orlicz, fracdiff):
+        monkeypatch.setattr(module, "_lux_rows", counted)
+    sweep("lacunary", 1.0, P2, num_funcs=2, grid=64, **kwargs)
+    members = 4 + 2  # the harmonic probes and the seeded draws
+    assert len(calls) <= bound * members
