@@ -1,39 +1,26 @@
-"""Scalar golden-section search; it serves only the K-functional's coordinate polish."""
+"""Scalar golden-section search; it serves only the K-functional's polish along its shrinkage family."""
 
 import math
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_ATOL = 1e-9
+_MAX_ITER = 200  # each step shrinks the bracket by the golden ratio: far beyond double precision
 
 
-def golden_min(fn, lo, hi, *, rtol=1e-12, atol=0.0, max_iter=200):
-    """Minimize a unimodal function on [lo, hi].
-
-    Returns (argmin, min value).  The interval shrinks by the golden ratio
-    each step, so max_iter=200 is far beyond double precision.
-    """
+def golden_min(fn, lo, hi, *, rtol):
+    """(argmin, min value) of a unimodal fn on [lo, hi], to a bracket _ATOL + rtol * max|end| wide."""
     a, b = float(lo), float(hi)
-    if not a <= b:
-        raise ValueError("empty search interval")
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc = fn(c)
-    fd = fn(d)
-    for _ in range(max_iter):
-        if h <= atol + rtol * max(abs(a), abs(b), 1e-300):
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(_MAX_ITER):
+        if b - a <= _ATOL + rtol * max(abs(a), abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
+            c = b - _INVPHI * (b - a)
             fc = fn(c)
         else:
             a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
+            d = a + _INVPHI * (b - a)
             fd = fn(d)
-    if fc < fd:
-        return c, fc
-    return d, fd
-
+    return (c, fc) if fc < fd else (d, fd)

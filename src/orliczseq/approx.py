@@ -153,9 +153,7 @@ def psi_bernstein_ratio(tau: CoeffSeq, phi, psi: PsiWeights, n: int, *, rtol: fl
     if tau.max_freq > n:
         raise ValueError(f"polynomial has support beyond |k| = {n}")
     lhs = luxemburg_norm(phi, psi_derivative(tau, psi), rtol=rtol)
-    eps = psi.min_abs_band(n)
-    bound = luxemburg_norm(phi, tau, rtol=rtol) / eps
-    return lhs, bound
+    return lhs, luxemburg_norm(phi, tau, rtol=rtol) / psi.min_abs_band(n)
 
 
 def psi_direct_ratio(f: CoeffSeq, phi, psi: PsiWeights, n: int, *, rtol: float = 1e-12):
@@ -166,6 +164,4 @@ def psi_direct_ratio(f: CoeffSeq, phi, psi: PsiWeights, n: int, *, rtol: float =
     index set that matters for a finitely supported sequence.
     """
     lhs = best_approx(f, phi, n, rtol=rtol)
-    eps = psi.max_abs_from(n, f.support)
-    bound = eps * best_approx(psi_derivative(f, psi), phi, n, rtol=rtol)
-    return lhs, bound
+    return lhs, psi.max_abs_from(n, f.support) * best_approx(psi_derivative(f, psi), phi, n, rtol=rtol)

@@ -131,8 +131,8 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     ks, cs = f.as_arrays()
 
     def norms(hs):
-        return np.concatenate([_lux_rows(np.abs(2.0 * np.sin(np.outer(hs[s], ks) * 0.5)) ** alpha * np.abs(cs),
-                                         phi, rtol=rtol) for s in _blocks(hs.size, ks.size)])
+        return np.concatenate([_lux_rows(_shift_rows(hs[s], ks, np.abs(cs), alpha), phi, rtol=rtol)
+                               for s in _blocks(hs.size, ks.size)])
 
     hs = np.linspace(0.0, deltas, grid, axis=1)
     g = norms(hs.ravel()).reshape(hs.shape)
@@ -156,3 +156,14 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
         c[o], gc[o], w[o] = pts[r, j], vals[r, j], w[o] / 2.0
         best[o] = np.fmax(best[o], gc[o])
     return best
+
+
+def _shift_rows(hs, ks, absc, alpha):
+    """Rows |2 sin(h k / 2)|**alpha |c_k|, one per shift h, built in a single array."""
+    out = np.outer(hs, ks)
+    out *= 0.5
+    np.abs(np.sin(out, out=out), out=out)
+    out *= 2.0
+    out **= alpha
+    out *= absc
+    return out

@@ -3,9 +3,9 @@
 K_alpha(delta, f) = inf over smooth h of ||f - h|| + delta**alpha ||h^(alpha)||.
 The infimum is relaxed to competitors in the band |k| <= N; the scan over
 partial sums is the construction that realizes the two-sided equivalence with
-the smoothness modulus, and an optional convex polish shrinks the best
-candidate coefficient by coefficient.  The returned estimate is therefore an
-upper bound on the unrelaxed infimum.
+the smoothness modulus, and an optional polish searches a one-parameter
+family of band shrinkages c_k f_k that holds the band-limited minimizer for
+power gauges.  The returned estimate is an upper bound on the infimum.
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 
 from ._search import golden_min
 from .fracdiff import frac_difference
-from .orlicz import _lux_norm, _window_norms, luxemburg_norm
+from .orlicz import _gauge_inverse, _lux_rows, _window_norms, luxemburg_norm
 from .spectrum import CoeffSeq, PsiWeights, psi_derivative
 
 __all__ = ["KEstimate", "k_functional", "difference_derivative_bracket"]
@@ -28,8 +28,8 @@ class KEstimate:
     minimizer_degree is the band radius of the winning competitor (-1 means
     the zero competitor h = 0); candidates_tried counts the distinct partial
     sums scanned (the partial sum only changes at support radii, so equal
-    candidates are evaluated once); refine_used records whether the
-    coordinate-shrinkage polish ran.
+    candidates are evaluated once); refine_used records whether the polish
+    along the shrinkage family ran.
     """
 
     value: float
@@ -47,9 +47,10 @@ def k_functional(f: CoeffSeq, phi, alpha: float, delta: float, n_band: int | Non
     T_m + delta**alpha D_m with T_m = ||(c_k)_{|k|>m}|| and
     D_m = ||(|k|**alpha c_k)_{0<|k|<=m}||, all T_m one batched solve and all
     D_m another; ties go to h = 0, then to the smallest degree.  Phase two,
-    enabled by `polish`, runs three sweeps of per-coefficient shrinkage c_k in
-    [0, 1] on the best candidate; the objective is convex in each c_k as a sum
-    of two norms of affine maps, so a golden line search per coordinate suffices.
+    enabled by `polish` unless h = 0 wins, golden-searches log mu along the
+    band shrinkages c_k f_k, c_k = 1 / (1 + (mu |k|**alpha)**q) on 0 < |k| <= n_band
+    and c_0 = 1, with q = p / (p - 1) from the elasticity p = u M'(u) / M(u)
+    at M(u) = 1; for M(t) = t**p the band-limited minimizer is on this family.
     """
     return _k_functionals(f, phi, alpha, [delta], n_band, polish, rtol)[0]
 
@@ -69,7 +70,11 @@ def _k_functionals(f, phi, alpha, deltas, n_band, polish, rtol):
     n_band = f.max_freq if n_band is None else int(n_band)
     if n_band < 0:
         raise ValueError("band must be nonnegative")
-    deriv_w = np.where(absk > 0, absk.astype(float) ** alpha, 0.0) * absc
+    band = (absk > 0) & (absk <= n_band)
+    with np.errstate(over="ignore"):
+        deriv_w = np.where(band, absk.astype(float) ** alpha, 0.0) * absc
+    if not np.all(np.isfinite(deriv_w)):
+        raise ValueError(f"|k| ** alpha * |c_k| overflows at alpha = {alpha}, max|k| = {absk[band].max()}")
 
     # h = 0 (the whole tail, no head) plus the degrees where the partial sum changes.
     radii = np.array(sorted({0, *absk[absk <= n_band].tolist()}))
@@ -81,28 +86,29 @@ def _k_functionals(f, phi, alpha, deltas, n_band, polish, rtol):
         best = int(np.argmin(row))  # the first minimum
         m, value = int(degrees[best]), row[best]
         refine = bool(polish and m >= 0)
-        if refine:
-            value = min(value, _polish(absc, absk, deriv_w, m, dpow, phi, rtol))
+        if refine and band.any():
+            value = min(value, _polish(absc, absk, band, alpha, deriv_w, dpow, phi, rtol))
         out.append(KEstimate(float(value), m, degrees.size, refine))
     return out
 
 
-def _polish(absc, absk, deriv_w, best_m, dpow, phi, rtol):
-    """The objective after three coordinate sweeps of golden search from the radius-best_m partial sum."""
-    inside = absk <= best_m
-    c = np.where(inside, 1.0, 0.0)
+def _polish(absc, absk, band, alpha, deriv_w, dpow, phi, rtol):
+    """Least objective along the shrinkage family: a golden search over log mu, one 2-row solve a step."""
+    u = _gauge_inverse(phi, 1.0, "upper")
+    p = u * float(phi.right_derivative(u)) / float(phi.eval(u))  # the elasticity of M where M = 1
+    q = p / (p - 1.0) if p > 1.0 else math.inf
+    la, a, w = alpha * np.log(absk[band]), absc[band], deriv_w[band]
+    rows = np.stack([np.where(absk > 0, absc, 0.0), np.zeros_like(absc)])
 
-    def objective():
-        res = absc * np.abs(1.0 - c)
-        return _lux_norm(res, phi, rtol) + dpow * _lux_norm((deriv_w * c)[inside & (absk > 0)], phi, rtol)
+    def objective(s):
+        with np.errstate(over="ignore", divide="ignore"):
+            x = np.exp(s + la)  # mu |k|**alpha
+            rows[0, band], rows[1, band] = a / (1.0 + x ** -q), w / (1.0 + x ** q)  # a (1 - c_k), w c_k
+        tail, head = _lux_rows(rows, phi, rtol=rtol)
+        return tail + dpow * head
 
-    for _ in range(3):
-        for i in np.flatnonzero(inside):
-            def line(t, i=i):
-                c[i] = t
-                return objective()
-            c[i] = golden_min(line, 0.0, 1.0, rtol=1e-6, atol=1e-9)[0]
-    return objective()
+    # 40 / q beyond the band's ends every c_k is within e**-40 of 0 or 1
+    return golden_min(objective, -la.max() - 40.0 / q, -la.min() + 40.0 / q, rtol=1e-9)[1]
 
 
 def difference_derivative_bracket(tau: CoeffSeq, phi, alpha: float, n: int, h: float,

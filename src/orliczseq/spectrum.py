@@ -220,8 +220,7 @@ class PsiWeights:
             raise ValueError("band must contain at least k = 1")
         if self.rule == "fractional":
             return float(n ** (-self.r))
-        ks = [k for k in range(-n, n + 1) if k != 0]
-        return min(abs(self.weight(k)) for k in ks)
+        return min(abs(self.weight(k)) for k in range(-n, n + 1) if k != 0)
 
     def max_abs_from(self, n: int, support) -> float:
         """max |psi_k| over |k| >= n.

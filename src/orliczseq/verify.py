@@ -562,7 +562,7 @@ def equivalence_report(family: str, alpha: float, phi: OrliczFunction, *, deltas
     seeded family; passes when every ratio is finite and positive, the lower
     envelope stays away from zero, and the running sup stabilizes.  The scan
     phase of the K-functional suffices for a two-sided constant, so the
-    convex polish is off by default in sweeps.
+    shrinkage polish is off by default in sweeps.
     """
     if deltas is None:
         deltas = np.geomspace(1e-3, 1.0, 8)

@@ -216,3 +216,12 @@ def test_kfunc_with_a_non_finite_order_or_overflowing_scale_prints_one_error_lin
         assert proc.returncode == 2 and proc.stdout == ""
         lines = proc.stderr.splitlines()  # in particular no RuntimeWarning
         assert len(lines) == 1 and lines[0].startswith("error:") and "finite" in lines[0]
+
+
+def test_kfunc_with_overflowing_derivative_weights_prints_one_error_line(coeff_file):
+    path = coeff_file("t.jsonl", {-2: 1.0, 1: 0.5, 3: 0.25})
+    proc = _cli_subprocess("kfunc", "--alpha", "800", "--delta", "0.5", "--input", path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()  # in particular no RuntimeWarning
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "alpha = 800" in lines[0] and "max|k| = 3" in lines[0]

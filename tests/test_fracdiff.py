@@ -273,3 +273,13 @@ def test_modulus_of_one_harmonic_zooms_to_its_closed_form(monkeypatch, phi, scal
     got, batches = _modulus_with_batches(monkeypatch, CoeffSeq({64: 1}), phi, 1.0, 1.0, 64)
     assert got == pytest.approx(2.0 * scale, rel=1e-11)
     assert got >= batches[0].max()
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.7, 2.0, 3.0])
+def test_shift_rows_built_in_place_match_the_temporaries_bit_for_bit(alpha):
+    rng = np.random.default_rng(50)
+    ks = np.array([-40, -7, -1, 0, 2, 5, 33, 64])
+    cs = rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)
+    hs = np.append(0.0, rng.uniform(0.0, 2.0, 9))
+    old = np.abs(2.0 * np.sin(np.outer(hs, ks) * 0.5)) ** alpha * np.abs(cs)
+    assert np.array_equal(fracdiff._shift_rows(hs, ks, np.abs(cs), alpha), old)

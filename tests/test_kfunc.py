@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_sparse_seq
-from orliczseq import kfunc
+from orliczseq import kfunc, orlicz
 from orliczseq.fracdiff import modulus
 from orliczseq.kfunc import difference_derivative_bracket, k_functional
 from orliczseq.orlicz import _lux_norm, exp_minus_one, luxemburg_norm, power, power_log
@@ -176,3 +177,174 @@ def test_k_and_modulus_single_harmonic_equivalence_window():
         assert w == pytest.approx(2.0 * math.sin(delta / 2.0), abs=1e-8)
         ratio = k / w
         assert 0.5 - 1e-6 <= ratio <= 1.0 / (2.0 * math.sin(0.5)) + 1e-6
+
+
+# -- polish along the shrinkage family ---------------------------------------------------
+
+POWERS = [power(1.5), P2, power(3)]
+
+
+def _with_out_of_band_tail(rng, band=6):
+    """A random in-band sequence plus one coefficient beyond the band, so every competitor has a tail."""
+    return random_sparse_seq(rng, band=band, max_terms=5) + CoeffSeq({band + 3: 0.3 - 0.2j})
+
+
+def _coordinate_descent(f, p, alpha, delta, n_band):
+    """min over c in [0, 1]^band of ||f - c f||_p + delta**alpha ||(|k|**alpha c f)||_p by coordinate descent.
+
+    Starts from c = 1/2, away from the kinks of the norms, and sweeps golden
+    searches on exact p-norms until a sweep no longer lowers the objective.
+    """
+    ks, cs = f.as_arrays()
+    absk, a = np.abs(ks), np.abs(cs)
+    band = (absk > 0) & (absk <= n_band)
+    w = np.where(band, absk.astype(float) ** alpha, 0.0) * a
+    c = np.where(absk == 0, 1.0, np.where(band, 0.5, 0.0))
+
+    def objective():
+        return math.fsum((a * (1.0 - c)) ** p) ** (1.0 / p) + delta ** alpha * math.fsum((w * c) ** p) ** (1.0 / p)
+
+    def line(i, t):
+        c[i] = t
+        return objective()
+
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    prev = objective()
+    for _ in range(2000):
+        for i in np.flatnonzero(band):
+            lo, hi = 0.0, 1.0
+            x1, x2 = hi - inv * (hi - lo), lo + inv * (hi - lo)
+            f1, f2 = line(i, x1), line(i, x2)
+            while hi - lo > 1e-15:
+                if f1 < f2:
+                    hi, x2, f2 = x2, x1, f1
+                    x1 = hi - inv * (hi - lo)
+                    f1 = line(i, x1)
+                else:
+                    lo, x1, f1 = x1, x2, f2
+                    x2 = lo + inv * (hi - lo)
+                    f2 = line(i, x2)
+            c[i] = min((f1, x1), (f2, x2), (line(i, 0.0), 0.0), (line(i, 1.0), 1.0))[1]
+        cur = objective()
+        if cur >= prev * (1.0 - 1e-16):
+            return cur
+        prev = cur
+    raise AssertionError("coordinate descent did not converge")
+
+
+@pytest.mark.parametrize("phi", POWERS, ids=str)
+def test_polish_is_the_band_limited_infimum_for_power_gauges(phi):
+    rng = np.random.default_rng(40)
+    refined = 0
+    for _ in range(6):
+        f = _with_out_of_band_tail(rng)
+        alpha, delta = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 0.5))
+        est = k_functional(f, phi, alpha, delta, 6)
+        if est.refine_used:
+            refined += 1
+            assert est.value == pytest.approx(_coordinate_descent(f, phi.param, alpha, delta, 6), rel=1e-10)
+    assert refined >= 4
+
+
+def _golden_min_3sweep(fn, lo, hi, rtol=1e-6, atol=1e-9, max_iter=200):
+    """The golden search the per-coordinate polish used, unchanged."""
+    invphi, invphi2 = (math.sqrt(5.0) - 1.0) / 2.0, (3.0 - math.sqrt(5.0)) / 2.0
+    a, b = float(lo), float(hi)
+    h = b - a
+    c, d = a + invphi2 * h, a + invphi * h
+    fc, fd = fn(c), fn(d)
+    for _ in range(max_iter):
+        if h <= atol + rtol * max(abs(a), abs(b), 1e-300):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = a + invphi2 * h
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + invphi * h
+            fd = fn(d)
+    return (c, fc) if fc < fd else (d, fd)
+
+
+def _coordinate_polish(f, phi, alpha, delta, best_m, rtol=1e-12):
+    """The objective after three coordinate sweeps of golden search from the radius-best_m partial sum."""
+    absk, absc = map(np.abs, f.as_arrays())
+    deriv_w = np.where(absk > 0, absk.astype(float) ** alpha, 0.0) * absc
+    dpow = delta ** alpha
+    inside = absk <= best_m
+    c = np.where(inside, 1.0, 0.0)
+
+    def objective():
+        res = absc * np.abs(1.0 - c)
+        return _lux_norm(res, phi, rtol) + dpow * _lux_norm((deriv_w * c)[inside & (absk > 0)], phi, rtol)
+
+    for _ in range(3):
+        for i in np.flatnonzero(inside):
+            def line(t, i=i):
+                c[i] = t
+                return objective()
+            c[i] = _golden_min_3sweep(line, 0.0, 1.0, rtol=1e-6, atol=1e-9)[0]
+    return objective()
+
+
+@pytest.mark.parametrize("phi", POWERS, ids=str)
+def test_polish_never_above_the_three_sweep_coordinate_polish(phi):
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        f = _with_out_of_band_tail(rng)  # in the default band: a scan winner below it leaves a tail to shrink
+        alpha, delta = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 0.5))
+        scan = k_functional(f, phi, alpha, delta, polish=False)
+        if scan.minimizer_degree < 0:
+            continue
+        old = min(scan.value, _coordinate_polish(f, phi, alpha, delta, scan.minimizer_degree))
+        # both sides are norm solves to rtol = 1e-12, so allow that much noise
+        assert k_functional(f, phi, alpha, delta).value <= old * (1.0 + 2e-12)
+
+
+def test_polish_leaves_coefficients_beyond_the_band_unused():
+    # band 1 under power(2): K = min over t of sqrt(t**2 + a5**2) + d * (a1 - t) = d * a1 + a5 * sqrt(1 - d**2)
+    a1, a5, d = 1.0, 0.5, 0.3
+    f = CoeffSeq({1: a1, 5: a5})
+    est = k_functional(f, P2, 1.0, d, 1)
+    assert (est.minimizer_degree, est.candidates_tried, est.refine_used) == (1, 3, True)
+    assert est.value == pytest.approx(d * a1 + a5 * math.sqrt(1.0 - d * d), rel=1e-10)
+    assert k_functional(f, P2, 1.0, d).value < est.value - 1e-3  # the full band does use k = 5
+
+
+def test_polished_k_at_band_64_takes_at_most_100_batched_solves(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lux_rows(*args, **kwargs)
+
+    lux_rows = orlicz._lux_rows
+    monkeypatch.setattr(orlicz, "_lux_rows", counted)
+    monkeypatch.setattr(kfunc, "_lux_rows", counted)
+    rng = np.random.default_rng(42)
+    ks = np.arange(-64, 65)
+    f = CoeffSeq.from_arrays(ks, rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size))
+    for phi in (P2, exp_minus_one(), power_log(2)):
+        calls.clear()
+        est = k_functional(f, phi, 1.0, 1.0 / 512)
+        assert est.refine_used and len(calls) <= 100
+
+
+@pytest.mark.parametrize("phi", [P2, power(1), exp_minus_one(), power_log(2)], ids=str)
+def test_constant_and_zero_sequences_still_cost_nothing(phi):
+    est = k_functional(CoeffSeq({0: 3.0}), phi, 1.0, 0.5)
+    assert (est.value, est.minimizer_degree, est.refine_used) == (0.0, 0, True)
+    est = k_functional(CoeffSeq({}), phi, 1.0, 0.5)
+    assert (est.value, est.minimizer_degree, est.refine_used) == (0.0, -1, False)
+
+
+def test_overflowing_derivative_weights_raise_naming_order_and_band_edge():
+    f = CoeffSeq({-2: 1.0, 1: 0.5, 3: 0.25})
+    with pytest.raises(ValueError, match=r"alpha = 800\.0, max\|k\| = 3"):
+        k_functional(f, P2, 800.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # weights beyond the band are never formed
+        assert math.isfinite(k_functional(f, P2, 800.0, 0.5, 1).value)
