@@ -1,26 +1,44 @@
-"""Scalar golden-section search; it serves only the K-functional's polish along its shrinkage family."""
+"""Bracket searches: _bisect finds where a monotone test turns true, _zoom the peak of a unimodal profile."""
 
-import math
+import numpy as np
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_ATOL = 1e-9
-_MAX_ITER = 200  # each step shrinks the bracket by the golden ratio: far beyond double precision
+_MAX_ITER = 200  # cap on every halving loop: 200 halvings take any bracket far below double precision
 
 
-def golden_min(fn, lo, hi, *, rtol):
-    """(argmin, min value) of a unimodal fn on [lo, hi], to a bracket _ATOL + rtol * max|end| wide."""
-    a, b = float(lo), float(hi)
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
+def _bisect(above, lo, hi, rtol):
+    """Halve [lo, hi] towards the point where the nondecreasing test `above` turns true.
+
+    lo and hi are scalars or aligned arrays of brackets; above(mid) returns a
+    bool of the same shape.  Stops once every bracket has hi - lo <= rtol * hi
+    and returns the final (lo, hi).
+    """
     for _ in range(_MAX_ITER):
-        if b - a <= _ATOL + rtol * max(abs(a), abs(b)):
+        mid = 0.5 * (lo + hi)
+        up = above(mid)
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+        if np.all(hi - lo <= rtol * hi):
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc < fd else (d, fd)
+    return lo, hi
+
+
+def _zoom(values, c, w, gc, stop):
+    """Zoom every bracket c_i -+ w_i onto the peak of its unimodal profile; returns the final (c, gc).
+
+    c, w, gc (the profile at c, nan where unsolved) and stop broadcast.  A step takes the brackets
+    with w > stop, solves their unknown points among c and c -+ w / 2 with one values(i, pts) call
+    (i the bracket of each point), recentres each on its best point and halves w.  So gc never
+    falls, and the peak stays within w of c.
+    """
+    c, w, gc, stop = (np.array(x, dtype=float) for x in np.broadcast_arrays(c, w, gc, stop))
+    for _ in range(_MAX_ITER):
+        o = np.flatnonzero(w > stop)
+        if not o.size:
+            break
+        pts = c[o, None] + np.outer(w[o], [-0.5, 0.0, 0.5])
+        vals = np.column_stack([np.full(o.size, np.nan), gc[o], np.full(o.size, np.nan)])
+        todo = np.isnan(vals)
+        vals[todo] = values(np.broadcast_to(o[:, None], todo.shape)[todo], pts[todo])
+        j, r = vals.argmax(axis=1), np.arange(o.size)
+        c[o], gc[o], w[o] = pts[r, j], vals[r, j], w[o] / 2.0
+    return c, gc

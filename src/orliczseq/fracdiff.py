@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from .orlicz import _LUX_MAX_ITER, _blocks, _lux_rows, luxemburg_norm
+from ._search import _zoom
+from .orlicz import _blocks, _lux_rows, luxemburg_norm
 from .spectrum import CoeffSeq
 
 __all__ = [
@@ -142,20 +143,10 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     edge = (i == 0) | (i == grid - 1)
     c = np.clip(i * step, step / 2.0, deltas - step / 2.0)
     w, gc = np.where(edge, step / 2.0, step), np.where(edge, np.nan, best)
-    for _ in range(_LUX_MAX_ITER):
-        # Near an interior maximum the norm is quadratic in h on the scale
-        # 1 / max|k| of its fastest harmonic, so this bracket pins it to ~rtol.
-        # All-zero norms (underflow at a large alpha) have nothing to zoom into.
-        o = np.flatnonzero((2.0 * w * f.max_freq > math.sqrt(rtol)) & (best > 0.0))
-        if not o.size:
-            break
-        pts = c[o, None] + np.outer(w[o], [-0.5, 0.0, 0.5])
-        vals = np.column_stack([np.full(o.size, np.nan), gc[o], np.full(o.size, np.nan)])
-        vals[np.isnan(vals)] = norms(pts[np.isnan(vals)])
-        j, r = vals.argmax(axis=1), np.arange(o.size)
-        c[o], gc[o], w[o] = pts[r, j], vals[r, j], w[o] / 2.0
-        best[o] = np.fmax(best[o], gc[o])
-    return best
+    # Near an interior maximum the norm is quadratic in h on the scale 1 / max|k| of its fastest
+    # harmonic, so this pins it to ~rtol; all-zero norms (underflow at a large alpha) need no zoom.
+    stop = np.where(best > 0.0, math.sqrt(rtol) / (2.0 * max(f.max_freq, 1)), np.inf)
+    return np.fmax(best, _zoom(lambda _, hs: norms(hs), c, w, gc, stop)[1])
 
 
 def _shift_rows(hs, ks, absc, alpha):

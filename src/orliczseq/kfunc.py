@@ -3,9 +3,10 @@
 K_alpha(delta, f) = inf over smooth h of ||f - h|| + delta**alpha ||h^(alpha)||.
 The infimum is relaxed to competitors in the band |k| <= N; the scan over
 partial sums is the construction that realizes the two-sided equivalence with
-the smoothness modulus, and an optional polish searches a one-parameter
+the smoothness modulus, and an optional polish zooms along a one-parameter
 family of band shrinkages c_k f_k that holds the band-limited minimizer for
-power gauges.  The returned estimate is an upper bound on the infimum.
+power gauges, for all deltas at once.  The returned estimate is an upper
+bound on the infimum.
 """
 
 import math
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import golden_min
+from ._search import _zoom
 from .fracdiff import frac_difference
-from .orlicz import _gauge_inverse, _lux_rows, _window_norms, luxemburg_norm
+from .orlicz import _blocks, _gauge_inverse, _lux_rows, _window_norms, luxemburg_norm
 from .spectrum import CoeffSeq, PsiWeights, psi_derivative
 
 __all__ = ["KEstimate", "k_functional", "difference_derivative_bracket"]
@@ -28,8 +29,9 @@ class KEstimate:
     minimizer_degree is the band radius of the winning competitor (-1 means
     the zero competitor h = 0); candidates_tried counts the distinct partial
     sums scanned (the partial sum only changes at support radii, so equal
-    candidates are evaluated once); refine_used records whether the polish
-    along the shrinkage family ran.
+    candidates are evaluated once); refine_used is true exactly when the
+    polish was requested and the scan winner is not h = 0, even when the band
+    holds no coefficient to shrink, as for CoeffSeq({0: 3.0}).
     """
 
     value: float
@@ -47,10 +49,11 @@ def k_functional(f: CoeffSeq, phi, alpha: float, delta: float, n_band: int | Non
     T_m + delta**alpha D_m with T_m = ||(c_k)_{|k|>m}|| and
     D_m = ||(|k|**alpha c_k)_{0<|k|<=m}||, all T_m one batched solve and all
     D_m another; ties go to h = 0, then to the smallest degree.  Phase two,
-    enabled by `polish` unless h = 0 wins, golden-searches log mu along the
-    band shrinkages c_k f_k, c_k = 1 / (1 + (mu |k|**alpha)**q) on 0 < |k| <= n_band
-    and c_0 = 1, with q = p / (p - 1) from the elasticity p = u M'(u) / M(u)
-    at M(u) = 1; for M(t) = t**p the band-limited minimizer is on this family.
+    enabled by `polish` unless h = 0 wins, zooms over log mu to half-width
+    sqrt(rtol) along the band shrinkages c_k f_k, c_k = 1 / (1 + (mu |k|**alpha)**q)
+    on 0 < |k| <= n_band and c_0 = 1, with q = p / (p - 1) from the elasticity
+    p = u M'(u) / M(u) at M(u) = 1, and keeps the smaller of the two values;
+    for M(t) = t**p the band-limited minimizer is on this family.
     """
     return _k_functionals(f, phi, alpha, [delta], n_band, polish, rtol)[0]
 
@@ -81,34 +84,37 @@ def _k_functionals(f, phi, alpha, deltas, n_band, polish, rtol):
     degrees = np.append(-1, radii)
     tails = _window_norms(f, phi, np.append(0, radii + 1), np.inf, rtol)
     heads = np.append(0.0, _window_norms(f, phi, 1, radii, rtol, deriv_w))
-    out = []
-    for dpow, row in zip(dpows, tails + dpows[:, None] * heads):
-        best = int(np.argmin(row))  # the first minimum
-        m, value = int(degrees[best]), row[best]
-        refine = bool(polish and m >= 0)
-        if refine and band.any():
-            value = min(value, _polish(absc, absk, band, alpha, deriv_w, dpow, phi, rtol))
-        out.append(KEstimate(float(value), m, degrees.size, refine))
-    return out
+    scan = tails + dpows[:, None] * heads
+    best = scan.argmin(axis=1)  # the first minimum
+    m, values = degrees[best], scan[np.arange(dpows.size), best]
+    refine = (m >= 0) & bool(polish)
+    if refine.any() and band.any():
+        polished = _polish(absc, absk, band, alpha, deriv_w, dpows[refine], phi, rtol)
+        values[refine] = np.fmin(values[refine], polished)
+    return [KEstimate(float(v), int(d), degrees.size, bool(r)) for v, d, r in zip(values, m, refine)]
 
 
-def _polish(absc, absk, band, alpha, deriv_w, dpow, phi, rtol):
-    """Least objective along the shrinkage family: a golden search over log mu, one 2-row solve a step."""
+def _polish(absc, absk, band, alpha, deriv_w, dpows, phi, rtol):
+    """Least objective along the shrinkage family at each of dpows: one zoom over log mu, one batch a step."""
     u = _gauge_inverse(phi, 1.0, "upper")
     p = u * float(phi.right_derivative(u)) / float(phi.eval(u))  # the elasticity of M where M = 1
     q = p / (p - 1.0) if p > 1.0 else math.inf
     la, a, w = alpha * np.log(absk[band]), absc[band], deriv_w[band]
-    rows = np.stack([np.where(absk > 0, absc, 0.0), np.zeros_like(absc)])
 
-    def objective(s):
+    def minus_objective(i, s):
+        rows = np.zeros((2 * s.size, absc.size))  # a tail and a head row per point
+        rows[0::2] = np.where(absk > 0, absc, 0.0)
         with np.errstate(over="ignore", divide="ignore"):
-            x = np.exp(s + la)  # mu |k|**alpha
-            rows[0, band], rows[1, band] = a / (1.0 + x ** -q), w / (1.0 + x ** q)  # a (1 - c_k), w c_k
-        tail, head = _lux_rows(rows, phi, rtol=rtol)
-        return tail + dpow * head
+            x = np.exp(s[:, None] + la)  # mu |k|**alpha
+            rows[0::2, band], rows[1::2, band] = a / (1.0 + x ** -q), w / (1.0 + x ** q)  # a (1 - c_k), w c_k
+        tail, head = np.concatenate([_lux_rows(rows[b], phi, rtol=rtol)
+                                     for b in _blocks(len(rows), absc.size)]).reshape(-1, 2).T
+        return -(tail + dpows[i] * head)
 
     # 40 / q beyond the band's ends every c_k is within e**-40 of 0 or 1
-    return golden_min(objective, -la.max() - 40.0 / q, -la.min() + 40.0 / q, rtol=1e-9)[1]
+    lo, hi = -la.max() - 40.0 / q, -la.min() + 40.0 / q
+    return -_zoom(minus_objective, 0.5 * (lo + hi), 0.5 * (hi - lo), np.full(dpows.size, np.nan),
+                  math.sqrt(rtol))[1]
 
 
 def difference_derivative_bracket(tau: CoeffSeq, phi, alpha: float, n: int, h: float,

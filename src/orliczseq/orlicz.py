@@ -10,7 +10,7 @@ is computed through the equivalent one-parameter form
 
     inf_{kappa > 0} (1 + sum_k M(kappa |c_k|)) / kappa,
 
-by bisection on the sign of its derivative.  Its correctness is enforced by
+by a zoom over log kappa.  Its correctness is enforced by
 the two-sided comparison with the Luxemburg norm and by dual feasibility,
 which the test suite checks independently of this formula.
 """
@@ -21,6 +21,8 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+
+from ._search import _bisect, _zoom
 
 __all__ = [
     "OrliczFunction",
@@ -39,10 +41,6 @@ INF = math.inf
 # Maximizer search for the numeric conjugate gives up (declares +inf) here.
 _UNBOUNDED_U = 1e30
 
-# Cap on every halving loop: 200 halvings take any bracket far below double
-# precision.
-_LUX_MAX_ITER = 200
-
 # Rows are built and solved in blocks of at most this many entries: a rates report over 8192
 # entries peaks at 39 MB with 2**18, at 47 MB and 40% slower with 2**19, at 159 MB with 2**22.
 _BLOCK_ENTRIES = 2 ** 18
@@ -52,23 +50,6 @@ def _blocks(n_rows, width):
     """Row slices covering range(n_rows), each block at most _BLOCK_ENTRIES entries."""
     step = max(1, _BLOCK_ENTRIES // max(width, 1))
     return [slice(i, i + step) for i in range(0, n_rows, step)]
-
-
-def _bisect(above, lo, hi, rtol):
-    """Halve [lo, hi] towards the point where the nondecreasing test `above` turns true.
-
-    lo and hi are scalars or aligned arrays of brackets; above(mid) returns a
-    bool of the same shape.  Stops once every bracket has hi - lo <= rtol * hi
-    and returns the final (lo, hi).
-    """
-    for _ in range(_LUX_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        up = above(mid)
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-        if np.all(hi - lo <= rtol * hi):
-            break
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -349,24 +330,27 @@ def luxemburg_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
 def orlicz_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
     """Dual norm sup { sum lam_k |c_k| : sum conj(lam_k) <= 1 }.
 
-    Computed as the minimum over kappa > 0 of (1 + rho(kappa)) / kappa with
-    rho(kappa) = sum M(kappa |c_k|), by bisection on [0, 1e18 / ||f||] for the
-    sign change of kappa*rho'(kappa) - rho(kappa) - 1, nondecreasing by
-    convexity; overflow makes it nan, which counts as the rising side.  Gauges
-    of linear growth never change sign: the infimum sits at kappa -> inf, and
-    the evaluation at the cap is within ~1e-18 of the norm.
+    By homogeneity it is L = ||f||_Lux times the dual norm of b = |c_k| / L: the
+    minimum over kappa > 0 of (1 + sum M(kappa b_k)) / kappa, a ratio that falls
+    then rises (by convexity) and exceeds 2 >= ||b||_O below kappa = 1/2.  One zoom
+    over log kappa in [log 1/2, log 1e18] to half-width sqrt(rtol) finds it to
+    about rtol; overflow makes the ratio +inf.  Gauges of linear growth reach
+    their infimum at kappa -> inf; the value at the cap is within ~1e-18 L of it.
     """
     a = np.abs(f.as_arrays()[1])
     if a.size == 0:
         return 0.0
+    lux = _lux_norm(a, phi, rtol)
+    b = a / lux
 
-    def rising(kappa):
-        rho = np.sum(phi.eval(kappa * a))
-        return not kappa * np.sum(a * phi.right_derivative(kappa * a)) - rho - 1.0 < 0.0
+    def minus_ratio(_, t):
+        kappa = np.exp(t)
+        return -(1.0 + np.asarray(phi.eval(np.outer(kappa, b)), dtype=float).sum(axis=1)) / kappa
 
+    lo, hi = math.log(0.5), math.log(1e18)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, kappa = _bisect(rising, 0.0, 1e18 / _lux_norm(a, phi, rtol), rtol)
-        return float((1.0 + np.sum(phi.eval(kappa * a))) / kappa)
+        neg = _zoom(minus_ratio, 0.5 * (lo + hi), 0.5 * (hi - lo), [np.nan], math.sqrt(rtol))[1]
+    return float(-neg[0] * lux)
 
 
 def dual_witness(phi: OrliczFunction, f, *, rtol: float = 1e-12):

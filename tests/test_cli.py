@@ -225,3 +225,9 @@ def test_kfunc_with_overflowing_derivative_weights_prints_one_error_line(coeff_f
     lines = proc.stderr.splitlines()  # in particular no RuntimeWarning
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "alpha = 800" in lines[0] and "max|k| = 3" in lines[0]
+
+
+def test_onorm_of_a_sequence_below_1e_292_prints_twice_its_l2_norm(coeff_file, capsys):
+    path = coeff_file("tiny.jsonl", {1: 1e-300, 3: 5e-301})
+    assert run(["onorm", "--orlicz", P2, "--input", path]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(2.2360679775e-300, rel=1e-10)

@@ -10,6 +10,7 @@ from orliczseq.fracdiff import modulus
 from orliczseq.kfunc import difference_derivative_bracket, k_functional
 from orliczseq.orlicz import _lux_norm, exp_minus_one, luxemburg_norm, power, power_log
 from orliczseq.spectrum import CoeffSeq, PsiWeights, fourier_sum, psi_derivative
+from orliczseq.verify import equivalence_report
 
 P2 = power(2)
 
@@ -348,3 +349,35 @@ def test_overflowing_derivative_weights_raise_naming_order_and_band_edge():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # weights beyond the band are never formed
         assert math.isfinite(k_functional(f, P2, 800.0, 0.5, 1).value)
+
+
+@pytest.mark.parametrize("phi", [power(1.5), P2, power(3), exp_minus_one(), power_log(2)], ids=str)
+def test_lockstep_polish_matches_the_per_delta_k_functional(phi):
+    rng = np.random.default_rng(43)
+    deltas = [0.02, 0.1, 0.3, 1.0]
+    refined = 0
+    for _ in range(4):
+        f = _with_out_of_band_tail(rng)
+        alpha = float(rng.uniform(0.5, 2.0))
+        for d, est in zip(deltas, kfunc._k_functionals(f, phi, alpha, deltas, None, True, 1e-12)):
+            one = k_functional(f, phi, alpha, d)
+            assert (est.minimizer_degree, est.candidates_tried, est.refine_used) == (
+                one.minimizer_degree, one.candidates_tried, one.refine_used)
+            assert est.value == pytest.approx(one.value, rel=1e-10)
+            refined += est.refine_used
+    assert refined >= 8
+
+
+def test_polished_equivalence_report_takes_at_most_50_polish_solves_per_member(monkeypatch):
+    # one zoom, of about 25 steps, for all of a member's deltas
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lux_rows(*args, **kwargs)
+
+    lux_rows = kfunc._lux_rows
+    monkeypatch.setattr(kfunc, "_lux_rows", counted)
+    rep = equivalence_report("random-band", 1, P2, num_funcs=4, polish=True)
+    members = 4 + 4  # the harmonic probes and the seeded draws
+    assert rep.params["polish"] and len(calls) <= 50 * members

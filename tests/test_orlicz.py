@@ -264,3 +264,44 @@ def test_orlicz_norm_overflowing_inside_the_bracket_matches_a_dense_scan(entries
     assert got == pytest.approx(_dense_dual(phi, np.abs(f.as_arrays()[1])), rel=1e-9)
     if entries == {1: 700}:
         assert got == pytest.approx(700.0 * math.e, rel=1e-12)  # one term: min of e^(kappa c) / kappa
+
+
+@pytest.mark.parametrize("phi", ALL_GAUGES, ids=str)
+def test_orlicz_norm_of_a_sequence_below_1e_292_is_finite(phi):
+    # the old kappa cap 1e18 / ||f|| overflowed to inf here and the norm came out nan
+    f = CoeffSeq({1: 1e-300, 3: 5e-301})
+    got = orlicz_norm(phi, f)
+    assert got == pytest.approx(1e-300 * orlicz_norm(phi, CoeffSeq({1: 1.0, 3: 0.5})), rel=1e-10)
+    if phi == power(2):
+        assert got == pytest.approx(2.0 * math.hypot(1e-300, 5e-301), rel=1e-10)
+
+
+def _counting(phi):
+    """(copy of phi, calls): the copy counts its eval and right_derivative calls in calls[0]."""
+    calls = [0]
+
+    def counted(fn):
+        def inner(t):
+            calls[0] += 1
+            return fn(t)
+        return inner
+
+    g = dataclasses.replace(phi, eval=counted(phi.eval), right_derivative=counted(phi.right_derivative))
+    return g, calls
+
+
+@pytest.mark.parametrize("phi", [power(1), power(2), exp_minus_one(), power_log(2)], ids=str)
+@pytest.mark.parametrize("support", [9, 8193])
+def test_orlicz_norm_takes_few_gauge_calls_beyond_its_luxemburg_solve(phi, support):
+    rng = np.random.default_rng(support)
+    ks = np.arange(support) - support // 2
+    f = CoeffSeq.from_arrays(ks, rng.standard_normal(support) + 1j * rng.standard_normal(support))
+    g, calls = _counting(phi)
+    luxemburg_norm(g, f)  # fills the gauge-inverse cache, which both solves below then share
+    calls[0] = 0
+    dual = orlicz_norm(g, f)
+    in_dual = calls[0]
+    calls[0] = 0
+    luxemburg_norm(g, f)
+    assert in_dual - calls[0] <= 30
+    assert dual == orlicz_norm(phi, f)

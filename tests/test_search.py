@@ -1,0 +1,58 @@
+import numpy as np
+import pytest
+
+from orliczseq._search import _zoom
+
+
+def _recording(profile):
+    """values(i, pts) for _zoom that evaluates profile(i, pts) and records every call."""
+    calls = []
+
+    def values(i, pts):
+        calls.append((np.array(i), np.array(pts)))
+        return profile(i, pts)
+
+    return values, calls
+
+
+def test_a_monotone_profile_ends_within_stop_of_the_right_end():
+    values, _ = _recording(lambda i, x: x)
+    c, gc = _zoom(values, [0.0], [1.0], [np.nan], [1e-6])
+    assert 1.0 - 1e-6 <= c[0] <= 1.0 and gc[0] == c[0]
+
+
+def test_an_interior_peak_is_found_within_stop():
+    peaks = np.array([0.3, -0.7, 0.05])
+    stop = np.array([1e-6, 1e-3, 1e-9])
+    values, _ = _recording(lambda i, x: -(x - peaks[i]) ** 2)
+    c, gc = _zoom(values, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [np.nan, np.nan, np.nan], stop)
+    assert np.all(np.abs(c - peaks) <= stop)
+    assert np.all(gc == -(c - peaks) ** 2)
+
+
+def test_a_nan_centre_is_solved_and_a_known_one_is_not():
+    values, calls = _recording(lambda i, x: -np.abs(x))
+    _zoom(values, [0.25, 0.25], [1.0, 1.0], [np.nan, -0.25], [0.6, 0.6])
+    (i, pts), = calls  # one step: 1.0 > 0.6 >= 0.5
+    assert i.tolist() == [0, 0, 0, 1, 1]
+    assert pts.tolist() == [-0.25, 0.25, 0.75, -0.25, 0.75]
+
+
+def test_a_bracket_with_an_infinite_stop_is_never_evaluated():
+    values, calls = _recording(lambda i, x: -(x - 0.1) ** 2)
+    c, gc = _zoom(values, [0.0, 0.0], [1.0, 1.0], [np.nan, np.nan], [1e-6, np.inf])
+    assert calls and all(np.all(i == 0) for i, _ in calls)
+    assert c[1] == 0.0 and np.isnan(gc[1])
+    assert c[0] == pytest.approx(0.1, abs=1e-6)
+
+
+def test_each_step_makes_exactly_one_values_call_for_all_open_brackets():
+    values, calls = _recording(lambda i, x: -(x - 0.2 * i) ** 2)
+    w, stop = [1.0, 1.0, 1.0], [2.0 ** -10, 2.0 ** -5, 2.0 ** -20]
+    _zoom(values, [0.0, 0.0, 0.0], w, [np.nan, np.nan, np.nan], stop)
+    assert len(calls) == 20  # the bracket with the smallest stop halves 20 times
+    counts = [np.bincount(i, minlength=3).tolist() for i, _ in calls]
+    assert counts[0] == [3, 3, 3]  # the nan centres are solved with the first midpoints
+    assert counts[1:5] == [[2, 2, 2]] * 4
+    assert counts[5:10] == [[2, 0, 2]] * 5
+    assert counts[10:] == [[0, 0, 2]] * 10
