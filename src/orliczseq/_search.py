@@ -1,8 +1,16 @@
-"""Bracket searches: _bisect finds where a monotone test turns true, _zoom the peak of a unimodal profile."""
+"""Bracket searches: _grow and _bisect find where a monotone test turns true, _zoom the peak of a unimodal profile."""
 
 import numpy as np
 
 _MAX_ITER = 200  # cap on every halving loop: 200 halvings take any bracket far below double precision
+
+
+def _grow(above):
+    """First of t = 1, 2, 4, ... where the nondecreasing test above(t) holds; inf once t passes 1e30."""
+    t = np.float64(1.0)  # a Python float would raise OverflowError where M(t) passes the double range
+    while t <= 1e30 and not above(t):
+        t *= 2.0
+    return t if t <= 1e30 else np.inf
 
 
 def _bisect(above, lo, hi, rtol):

@@ -95,10 +95,10 @@ def kernel_values(spec: KernelSpec, t) -> np.ndarray:
     return spec.b_p * ratio ** (2 * spec.k0)
 
 
-def kernel_moment(spec: KernelSpec, r: int, nodes: int = 16384) -> float:
-    """Midpoint-rule quadrature of |t|**r |K(t)| over one period."""
-    step = 2.0 * math.pi / nodes
-    t = -math.pi + (np.arange(nodes) + 0.5) * step
+def kernel_moment(spec: KernelSpec, r: int) -> float:
+    """Midpoint-rule quadrature of |t|**r |K(t)| over one period, on 16384 nodes."""
+    step = 2.0 * math.pi / 16384
+    t = -math.pi + (np.arange(16384) + 0.5) * step
     vals = np.abs(t) ** r * np.abs(kernel_values(spec, t))
     return float(vals.sum() * step)
 

@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
             "input": dict(type=str, default=None, help="coefficient file, JSON lines"),
             "output": dict(type=str, default=None, help="write result here instead of stdout"),
             "format": dict(type=str, choices=("json", "csv"), default="json", help="report format"),
-            "grid": dict(type=int, default=512, help="shift-search grid size (default 512)"),
+            "grid": dict(type=int, default=512, help="shift-search grid size (default %(default)s)"),
             "tol": dict(type=float, default=1e-12, help="relative solver tolerance (default 1e-12)"),
             "seed": dict(type=int, default=0, help="64-bit seed for sweep families (default 0)"),
             "family": dict(type=str, default="random-band",
@@ -67,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("direct", "inverse", "equiv", "classify", "rates", "balpha"))
     common(p, "orlicz", "alpha", "beta", "r", "input", "output", "format",
            "grid", "tol", "seed", "family", "band", "n_max")
+    p.set_defaults(grid=128)
     return parser
 
 
@@ -179,16 +180,15 @@ def _dispatch(parser, args) -> int:
 def _run_verify(parser, args):
     phi = _load_gauge(parser, args)
     kind = args.kind
-    grid = min(args.grid, 128)
     if kind == "direct":
         return verify.direct_report(args.family, args.alpha, phi, n_max=args.n_max,
-                                    seed=args.seed, grid=grid, rtol=args.tol)
+                                    seed=args.seed, grid=args.grid, rtol=args.tol)
     if kind == "inverse":
         return verify.inverse_report(args.family, args.alpha, phi, n_max=args.n_max,
-                                     seed=args.seed, grid=grid, rtol=args.tol)
+                                     seed=args.seed, grid=args.grid, rtol=args.tol)
     if kind == "equiv":
         return verify.equivalence_report(args.family, args.alpha, phi, seed=args.seed,
-                                         grid=grid, rtol=args.tol)
+                                         grid=args.grid, rtol=args.tol)
     if kind == "balpha":
         _require(parser, args, "r")
         return verify.balpha_check(verify.MajorantOmega.power(args.r), args.alpha, args.n_max)
@@ -196,11 +196,11 @@ def _run_verify(parser, args):
         _require(parser, args, "r")
         f = _load_input(parser, args)
         return verify.classify(f, phi, verify.MajorantOmega.power(args.r), args.alpha,
-                               n_max=args.n_max, grid=grid, rtol=args.tol)
+                               n_max=args.n_max, grid=args.grid, rtol=args.tol)
     if kind == "rates":
         _require(parser, args, "beta")
         return verify.rates_report(args.beta, args.alpha, phi, band=args.band,
-                                   j_min=3, j_max=9, grid=grid, rtol=args.tol)
+                                   j_min=3, j_max=9, grid=args.grid, rtol=args.tol)
     raise AssertionError(kind)
 
 

@@ -40,29 +40,22 @@ def _signed_coeffs(alpha: float, j_max: int) -> np.ndarray:
     return out
 
 
-def k_constant(alpha: float, *, increment_tol: float = 1e-14, max_terms: int = 10**6) -> float:
-    """Partial sums of sum_j |binom(alpha, j)|, the difference-operator norm bound.
+def k_constant(alpha: float) -> float:
+    """sum_j |binom(alpha, j)|, the difference-operator norm bound, as a finite sum.
 
-    Summation stops once a term drops below increment_tol or after max_terms
-    terms.  The limit never exceeds 2**ceil(alpha); for integer alpha the
-    series terminates and the value is exactly 2**alpha.
+    For m = floor(alpha), the terms (-1)**j binom(alpha, j) with j > m share one sign and the
+    whole series sums to (1 - 1)**alpha = 0, so the tail is |sum_{j<=m} (-1)**j binom(alpha, j)|.
+    K = 2**alpha for integer alpha (the recurrence would round it), and K >= 2**m is inf from 1024 on.
     """
-    if not alpha > 0:
-        raise ValueError("order must be positive")
-    total = 1.0
-    mag = 1.0
-    j = 0
-    chunk = 1 << 16
-    while j < max_terms:
-        m = min(chunk, max_terms - j)
-        idx = np.arange(j, j + m, dtype=float)
-        mags = mag * np.cumprod(np.abs(alpha - idx) / (idx + 1.0))
-        total += float(mags.sum())
-        mag = float(mags[-1])
-        j += m
-        if mag < increment_tol:
-            break
-    return total
+    if not 0 < alpha < math.inf:
+        raise ValueError("order must be positive and finite")
+    m = math.floor(alpha)
+    if m >= 1024:
+        return math.inf
+    if alpha == m:
+        return 2.0 ** m
+    s = _signed_coeffs(alpha, m)
+    return float(np.abs(s).sum() + abs(s.sum()))
 
 
 def _check_order(alpha):
@@ -122,13 +115,13 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
         raise ValueError("modulus order and delta must be finite")
     if alpha < 0:
         raise ValueError("modulus order must be nonnegative")
-    if alpha == 0:
-        return np.full(deltas.size, luxemburg_norm(phi, f, rtol=rtol))
     if not np.all(deltas > 0):
         raise ValueError("delta must be positive")
     grid = int(grid)
     if grid < 2:
         raise ValueError("need at least two grid points")
+    if alpha == 0:
+        return np.full(deltas.size, luxemburg_norm(phi, f, rtol=rtol))
     ks, cs = f.as_arrays()
 
     def norms(hs):

@@ -134,15 +134,14 @@ class Report:
 # -- boundedness heuristics ---------------------------------------------------------
 
 
-def _running_sup_stabilizes(ratios, frac=0.25, tol=0.05):
-    """True when the last `frac` of the samples lift the running sup by <= tol."""
+def _running_sup_stabilizes(ratios):
+    """True when the last quarter of the finite samples lifts the running sup by at most 5%."""
     vals = [r for r in ratios if math.isfinite(r)]
     if len(vals) < 4:
         return True, (vals and max(vals) or 0.0), (vals and max(vals) or 0.0)
-    cut = math.ceil(len(vals) * (1.0 - frac)) - 1
-    sup_early = max(vals[: cut + 1])
+    sup_early = max(vals[: math.ceil(len(vals) * 0.75)])
     sup_all = max(vals)
-    return sup_early >= (1.0 - tol) * sup_all, sup_early, sup_all
+    return sup_early >= 0.95 * sup_all, sup_early, sup_all
 
 
 def _trailing_slope(xs, ys, last_fraction=0.5, *, log_y=True):
@@ -216,14 +215,14 @@ class MajorantOmega:
             raise ValueError("table must cover [0, 1]")
         return cls("table", lambda d: float(np.interp(d, xs, ys)), {"points": len(pts)})
 
-    def validate(self, grid_size: int = 257, jump_tol: float = 0.25) -> None:
-        """Grid checks of the four majorant conditions; raises on failure.
+    def validate(self) -> None:
+        """Checks of the four majorant conditions on 257 evenly spaced points of [0, 1]; raises on failure.
 
-        Continuity is operationalized as "no adjacent jump above jump_tol of
+        Continuity is operationalized as "no adjacent jump above a quarter of
         the total range"; the vanishing limit as omega(0) = 0 together with
         monotone decrease toward it.
         """
-        xs = np.linspace(0.0, 1.0, grid_size)
+        xs = np.linspace(0.0, 1.0, 257)
         ys = np.array([self(x) for x in xs])
         if ys[0] != 0.0:
             raise ValueError("majorant must vanish at 0")
@@ -232,7 +231,7 @@ class MajorantOmega:
         if np.any(ys[1:] <= 0.0):
             raise ValueError("majorant must be positive on (0, 1]")
         spread = ys[-1] - ys[0]
-        if spread > 0 and float(np.max(np.diff(ys))) > jump_tol * spread:
+        if spread > 0 and float(np.max(np.diff(ys))) > 0.25 * spread:
             raise ValueError("majorant jumps too much between grid points to pass as continuous")
 
     def spec_dict(self) -> dict:
@@ -356,7 +355,6 @@ def classify(f_or_errors, phi: OrliczFunction, omega: MajorantOmega, alpha: floa
     direction is skipped).  The majorant must satisfy the four grid
     conditions and the partial-sum regularity for this alpha.
     """
-    omega.validate()
     ba = balpha_check(omega, alpha, max(int(n_max), 256))
     if not ba.passed:
         raise ValueError("majorant fails partial-sum regularity for this alpha")

@@ -134,6 +134,19 @@ def test_cli_byte_identical_reruns(coeff_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_verify_grid_above_128_reaches_the_report(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["verify", "direct", "--n-max", "4", "--family", "lacunary", "--grid", "200",
+                "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["params"]["grid"] == 200
+
+
+@pytest.mark.parametrize("argv, default", [(["verify", "--help"], 128), (["omega", "--help"], 512)])
+def test_help_states_the_grid_default(argv, default, capsys):
+    assert run(argv) == 0
+    assert f"shift-search grid size (default {default})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_round_trip_identity(tmp_path):
     f = CoeffSeq({-7: 1.5 + 0.25j, 0: -2.0, 3: 1e-30})
     path = tmp_path / "f.jsonl"

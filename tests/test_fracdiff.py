@@ -47,6 +47,27 @@ def test_k_constant_half_order():
     assert k_constant(0.5) == pytest.approx(2.0, abs=2e-3)
 
 
+@pytest.mark.parametrize("alpha, exact", [(0.3, 2.0), (0.5, 2.0), (1.5, 3.0), (2.7, 6.59)])
+def test_k_constant_is_the_exact_finite_sum(alpha, exact):
+    # sum_j |binom(alpha, j)| = head + |signed head|, since the signed series sums to 0
+    assert k_constant(alpha) == pytest.approx(exact, rel=0, abs=1e-14)
+
+
+def test_k_constant_integer_orders_are_powers_of_two():
+    for alpha in range(1, 64):
+        assert k_constant(float(alpha)) == 2.0 ** alpha
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.5])
+def test_k_constant_rejects_non_finite_and_non_positive_orders(alpha):
+    with pytest.raises(ValueError, match="positive and finite"):
+        k_constant(alpha)
+
+
+def test_k_constant_overflows_to_inf():
+    assert k_constant(1024.0) == math.inf and k_constant(5e9) == math.inf
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.7, 2.0, 3.2])
 def test_k_constant_bounded_by_power_of_two(alpha):
     assert k_constant(alpha) <= 2.0 ** math.ceil(alpha) + 1e-9
@@ -167,6 +188,14 @@ def test_modulus_validates_arguments():
         modulus(f, P2, 1.0, 0.0)
     with pytest.raises(ValueError):
         modulus(f, P2, 1.0, 1.0, grid=1)
+
+
+def test_modulus_order_zero_validates_delta_and_grid():
+    f = CoeffSeq({1: 1, 3: 0.5})
+    with pytest.raises(ValueError, match="delta must be positive"):
+        modulus(f, P2, 0.0, -1.0)
+    with pytest.raises(ValueError, match="two grid points"):
+        modulus(f, P2, 0.0, 1.0, grid=1)
 
 
 def test_modulus_against_dense_scan():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_sparse_seq
 from orliczseq.orlicz import (
     OrliczFunction,
+    _gauge_inverse,
     conjugate,
     dual_witness,
     exp_minus_one,
@@ -39,6 +40,27 @@ def test_concave_gauge_rejected():
     )
     with pytest.raises(ValueError, match="convexity"):
         validate_gauge(broken)
+
+
+def test_gauge_below_1e6_up_to_1e30_rejected_by_growth_probe():
+    # 1e-60 t**2 is convex and nondecreasing, so only the growth probe can reject it
+    tiny = OrliczFunction(name="tiny", eval=lambda t: 1e-60 * t ** 2, right_derivative=lambda t: 2e-60 * t)
+    with pytest.raises(ValueError, match="grow unboundedly"):
+        validate_gauge(tiny)
+
+
+def test_gauge_inverse_of_a_bounded_gauge_raises():
+    # 0.5 t / (1 + t) stays below 1 in floating point too (t / (1 + t) rounds to 1 at 2**53)
+    bounded = OrliczFunction(name="bounded", eval=lambda t: 0.5 * t / (1.0 + t),
+                             right_derivative=lambda t: 0.5 / (1.0 + t) ** 2)
+    with pytest.raises(ValueError, match="cannot invert"):
+        _gauge_inverse(bounded, 1.0, "upper")
+
+
+def test_numeric_conjugate_of_a_linear_gauge_is_inf_beyond_its_slope():
+    linear = dataclasses.replace(power(1), closed_form_conjugate=None)
+    assert conjugate(linear, 2.0) == math.inf
+    assert conjugate(linear, 0.5) == 0.0
 
 
 def test_from_spec_parses_and_rejects():

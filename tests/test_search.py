@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orliczseq._search import _zoom
+from orliczseq._search import _grow, _zoom
 
 
 def _recording(profile):
@@ -56,3 +56,21 @@ def test_each_step_makes_exactly_one_values_call_for_all_open_brackets():
     assert counts[1:5] == [[2, 2, 2]] * 4
     assert counts[5:10] == [[2, 0, 2]] * 5
     assert counts[10:] == [[0, 0, 2]] * 10
+
+
+def test_grow_returns_the_first_power_of_two_where_the_test_holds():
+    seen = []
+
+    def above(t):
+        seen.append(t)
+        return t >= 5.0
+
+    t = _grow(above)
+    assert t == 8.0 and isinstance(t, np.float64) and seen == [1.0, 2.0, 4.0, 8.0]
+    assert _grow(lambda t: True) == 1.0
+
+
+def test_grow_gives_inf_past_1e30_without_evaluating_there():
+    seen = []
+    assert _grow(lambda t: seen.append(t)) == np.inf
+    assert seen[-1] == 2.0 ** 99 and len(seen) == 100
