@@ -32,11 +32,13 @@ def binom(alpha: float, j: int) -> float:
 
 def _signed_coeffs(alpha: float, j_max: int) -> np.ndarray:
     """Array of (-1)**j * binom(alpha, j) for j = 0..j_max via the stable recurrence."""
-    out = np.empty(j_max + 1)
-    out[0] = 1.0
-    if j_max:
-        j = np.arange(j_max, dtype=float)
-        out[1:] = np.cumprod((j - alpha) / (j + 1.0))
+    j = np.arange(j_max, dtype=float)
+    out = np.cumprod(np.append(1.0, (j - alpha) / (j + 1.0)))
+    if alpha >= 0 and float(alpha).is_integer():  # integer terms: multiply, then divide, exact
+        for i in range(min(j_max, int(alpha))):  # while the products stay below 2**53
+            if abs(out[i] * (i - alpha)) >= 2.0 ** 53:
+                break
+            out[i + 1] = out[i] * (i - alpha) / (i + 1)
     return out
 
 

@@ -242,7 +242,7 @@ def conjugate(phi: OrliczFunction, v: float, *, rtol: float = 1e-12) -> float:
 
 @lru_cache(maxsize=None)
 def _gauge_inverse(phi, y, side):
-    """Solve M(t) = y for y in (0, 1]; cached, as norm solves ask only y = 1 and y = 1 / nnz.
+    """Solve M(t) = y for y in (0, 1]; cached, as norm solves ask only y = 1.
 
     side='upper' guarantees M(result) >= y, side='lower' the reverse; the
     norm brackets below rely on exactly these one-sided properties.
@@ -266,9 +266,6 @@ def _lux_rows(vals, phi, *, rtol=1e-12):
     if not np.any(active):
         return out
     w = vals if active.all() else vals[active]
-    nnz = int(np.count_nonzero(w, axis=1).max())
-    m_one = _gauge_inverse(phi, 1.0, "upper")
-    m_frac = _gauge_inverse(phi, 1.0 / nnz, "lower")
     buf = np.empty_like(w)  # w / a, reused by every step: fresh pages per step cost more than the step
 
     def fits(a):
@@ -276,9 +273,10 @@ def _lux_rows(vals, phi, *, rtol=1e-12):
         with np.errstate(over="ignore"):
             return np.asarray(phi.eval(np.divide(w, a[:, None], out=buf)), dtype=float).sum(axis=1) <= 1.0
 
-    # Provable bracket: at lo the largest term alone reaches 1; at hi
-    # convexity with M(0)=0 pushes the whole sum below 1.
-    lo, hi = _bisect(fits, row_max[active] / m_one, row_sum[active] / m_frac, rtol)
+    # Provable bracket, hi / lo <= nnz: at lo the largest term alone reaches 1; at hi each w_k / a is at
+    # most u = M^-1(1) and they sum to u, so the chord M(x) <= x M(u) / u keeps the sum <= M(u) <= 1.
+    lo = row_max[active] / _gauge_inverse(phi, 1.0, "upper")
+    lo, hi = _bisect(fits, lo, row_sum[active] / _gauge_inverse(phi, 1.0, "lower"), rtol)
     out[active] = 0.5 * (lo + hi)
     return out
 
@@ -321,18 +319,18 @@ def luxemburg_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
 def orlicz_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
     """Dual norm sup { sum lam_k |c_k| : sum conj(lam_k) <= 1 }.
 
-    By homogeneity it is L = ||f||_Lux times the dual norm of b = |c_k| / L: the
-    minimum over kappa > 0 of (1 + sum M(kappa b_k)) / kappa, a ratio that falls
-    then rises (by convexity) and exceeds 2 >= ||b||_O below kappa = 1/2.  One zoom
-    over log kappa in [log 1/2, log 1e18] to half-width sqrt(rtol) finds it to
-    about rtol; overflow makes the ratio +inf.  Gauges of linear growth reach
-    their infimum at kappa -> inf; the value at the cap is within ~1e-18 L of it.
+    By homogeneity it is L = sum |c_k| / M^-1(1) times the dual norm of b = |c_k| / L: the
+    minimum over kappa > 0 of (1 + sum M(kappa b_k)) / kappa, a ratio that falls then rises (by
+    convexity) and exceeds 2 >= 2 ||b||_Lux >= ||b||_O below kappa = 1/2, as L >= ||f||_Lux by
+    the chord bound in _lux_rows.  One zoom over log kappa in [log 1/2, log 1e18] to half-width
+    sqrt(rtol) finds it to about rtol; overflow makes the ratio +inf.  Gauges of linear growth
+    reach their infimum at kappa -> inf; the value at the cap is within ~1e-18 L of it.
     """
     a = np.abs(f.as_arrays()[1])
     if a.size == 0:
         return 0.0
-    lux = _lux_norm(a, phi, rtol)
-    b = a / lux
+    scale = a.sum() / _gauge_inverse(phi, 1.0, "lower")
+    b = a / scale
 
     def minus_ratio(_, t):
         kappa = np.exp(t)
@@ -341,7 +339,7 @@ def orlicz_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
     lo, hi = math.log(0.5), math.log(1e18)
     with np.errstate(over="ignore", invalid="ignore"):
         neg = _zoom(minus_ratio, 0.5 * (lo + hi), 0.5 * (hi - lo), [np.nan], math.sqrt(rtol))[1]
-    return float(-neg[0] * lux)
+    return float(-neg[0] * scale)
 
 
 def dual_witness(phi: OrliczFunction, f, *, rtol: float = 1e-12):

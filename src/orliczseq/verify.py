@@ -344,11 +344,11 @@ def balpha_check(omega: MajorantOmega, alpha: float, n_max: int) -> Report:
 
 
 def classify(f_or_errors, phi: OrliczFunction, omega: MajorantOmega, alpha: float,
-             n_max: int = 256, *, deltas=None, grid: int = 128, rtol: float = 1e-12) -> Report:
+             n_max: int = 256, *, grid: int = 128, rtol: float = 1e-12) -> Report:
     """Membership test for the class of sequences with alpha-modulus O(omega).
 
     Checks both characterizations at once: sup_n E_n / omega(1/n) over
-    n <= n_max, and sup over a delta grid of the measured modulus against
+    n <= n_max, and sup over 9 log-spaced deltas in [1/n_max, 1] of the modulus against
     omega(delta).  Passing requires both ratio families bounded (max within
     10x median, trailing log-log growth below 0.15).  Accepts either a
     coefficient sequence or a precomputed E_n array (then the modulus
@@ -389,10 +389,8 @@ def classify(f_or_errors, phi: OrliczFunction, omega: MajorantOmega, alpha: floa
     report.add("En-growth", slope_e, 0.15, slope_e / 0.15, slope_e <= 0.15)
 
     omega_ok = True
-    slope_w = 0.0
     if f is not None:
-        if deltas is None:
-            deltas = np.geomspace(1.0 / n_max, 1.0, 9)
+        deltas = np.geomspace(1.0 / n_max, 1.0, 9)
         ratios_w = []
         for d, w in zip(deltas, _moduli(f, phi, alpha, deltas, grid, rtol).tolist()):
             r = w / omega(float(d))

@@ -254,6 +254,31 @@ def test_binom_matches_the_product_loop():
             assert binom(float(alpha), j) == loop(float(alpha), j)
 
 
+def test_binom_is_exact_at_integer_orders():
+    assert binom(11.0, 5) == 462.0
+    for alpha in range(40):
+        for j in range(alpha + 1):
+            assert binom(float(alpha), j) == math.comb(alpha, j), (alpha, j)
+
+
+@pytest.mark.parametrize("alpha", [60.0, 1023.0, 1030.0, 2000.0])
+def test_large_integer_binomials_overflow_only_where_the_ratio_product_does(alpha):
+    j = np.arange(alpha + 30)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.cumprod(np.append(1.0, (j - alpha) / (j + 1.0)))
+        s = fracdiff._signed_coeffs(alpha, int(alpha) + 30)
+    for same in (np.isinf, np.isnan, np.signbit):
+        assert np.array_equal(same(s), same(ratios))
+    finite = np.isfinite(s)
+    np.testing.assert_allclose(s[finite], ratios[finite], rtol=1e-12, atol=0)
+
+
+def test_series_oracle_at_order_11_matches_the_multiplier():
+    f = random_sparse_seq(np.random.default_rng(11), band=24, max_terms=8)
+    for h in (0.3, 1.7, -2.9):
+        assert max_abs_diff(frac_difference(f, 11.0, h), frac_difference_series(f, 11.0, h, 11)) < 1e-9
+
+
 @pytest.mark.parametrize("alpha, delta", [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.inf),
                                           (1.0, math.nan), (0.0, math.inf)])
 def test_modulus_rejects_non_finite_order_and_scale(alpha, delta):

@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sparse_seq
+from orliczseq import kfunc, orlicz
+from orliczseq.approx import best_approx
+from orliczseq.fracdiff import modulus
+from orliczseq.kfunc import k_functional
 from orliczseq.orlicz import (
     OrliczFunction,
     _gauge_inverse,
@@ -327,3 +331,81 @@ def test_orlicz_norm_takes_few_gauge_calls_beyond_its_luxemburg_solve(phi, suppo
     luxemburg_norm(g, f)
     assert in_dual - calls[0] <= 30
     assert dual == orlicz_norm(phi, f)
+
+
+# -- Luxemburg bracket -----------------------------------------------------------
+
+
+def _bracket_rows(n):
+    """Four rows of n entries: flat, 1/k, one dominant entry among tiny ones, 1/k with zeros between."""
+    k = np.arange(1.0, n + 1.0)
+    dominant = np.full(n, 1e-9)
+    dominant[n // 2] = 1.0
+    return [np.ones(n), 1.0 / k, dominant, np.where(k % 2 == 1, 1.0 / k, 0.0)]
+
+
+@pytest.mark.parametrize("phi", [power(1), power(1.5), power(2), power(3), exp_minus_one(), power_log(1),
+                                 power_log(2)], ids=str)
+def test_luxemburg_bracket_holds_the_root_within_a_factor_nnz(phi, monkeypatch):
+    brackets = []
+    bisect = orlicz._bisect
+
+    def spy(above, lo, hi, rtol):
+        if np.ndim(lo):  # the numeric gauge inverse bisects scalars
+            brackets.append((lo, hi))
+        return bisect(above, lo, hi, rtol)
+
+    monkeypatch.setattr(orlicz, "_bisect", spy)
+    rows = [r for n in (1, 2, 9, 129, 1025) for r in _bracket_rows(n)]
+    vals = np.zeros((len(rows), 1025))
+    for i, r in enumerate(rows):
+        vals[i, :r.size] = r
+    orlicz._lux_rows(vals, phi)
+    (lo, hi), = brackets
+    def sums(a):
+        return np.asarray(phi.eval(vals / a[:, None]), dtype=float).sum(axis=1)
+
+    assert np.all(sums(lo) >= 1.0 - 1e-12)
+    assert np.all(sums(hi) <= 1.0 + 1e-12)
+    assert np.all(hi / lo <= np.count_nonzero(vals, axis=1) * (1.0 + 1e-12))
+
+
+def test_norm_solves_invert_the_gauge_only_at_one(monkeypatch):
+    asked = []
+    inverse = orlicz._gauge_inverse
+
+    def spy(phi, y, side):
+        asked.append(y)
+        return inverse(phi, y, side)
+
+    monkeypatch.setattr(orlicz, "_gauge_inverse", spy)
+    monkeypatch.setattr(kfunc, "_gauge_inverse", spy)
+    f = random_sparse_seq(np.random.default_rng(7), band=16, max_terms=12)
+    for phi in (power(2), exp_minus_one(), power_log(2)):
+        luxemburg_norm(phi, f)
+        orlicz_norm(phi, f)
+        best_approx(f, phi, 3)
+        modulus(f, phi, 1.5, 0.3, grid=16)
+        k_functional(f, phi, 1.0, 0.2, polish=True)
+    assert asked and set(asked) == {1.0}
+
+
+_FLAT = CoeffSeq.from_arrays(np.arange(8193) - 4096, np.ones(8193))
+
+
+@pytest.mark.parametrize("phi, most", [(exp_minus_one(), 44), (power(2), 48)], ids=str)
+def test_flat_8193_entry_norm_takes_few_gauge_calls(phi, most):
+    g, calls = _counting(phi)
+    assert luxemburg_norm(g, _FLAT) == luxemburg_norm(phi, _FLAT)
+    assert calls[0] <= most
+
+
+@pytest.mark.parametrize("phi", [power(2), exp_minus_one(), power_log(2)], ids=str)
+def test_orlicz_norm_of_8193_entries_takes_at_most_30_gauge_calls(phi):
+    rng = np.random.default_rng(8193)
+    f = CoeffSeq.from_arrays(np.arange(8193) - 4096, rng.standard_normal(8193) + 1j * rng.standard_normal(8193))
+    g, calls = _counting(phi)
+    _gauge_inverse(g, 1.0, "lower")  # the numeric inverse of power_log is cached per gauge
+    calls[0] = 0
+    assert orlicz_norm(g, f) == orlicz_norm(phi, f)
+    assert calls[0] <= 30

@@ -1,0 +1,191 @@
+"""Record or compare a fixed battery of orliczseq values.
+
+    python tools/value_battery.py OUT.json         write every battery value to OUT.json
+    python tools/value_battery.py A.json B.json    compare two such files
+
+The battery imports orliczseq from the ``src`` directory of the checkout it lives in, so to
+compare two revisions copy this file into each checkout's ``tools`` directory and run it there.
+Recorded values, keyed ``kind|gauge|sequence|...``:
+
+* ``lux``, ``dual``, ``en``: the Luxemburg norm, the dual norm and E_n at n = 1 + max|k| // 4;
+* ``modulus``: at alpha in {0.5, 1, 2} and delta in {0.01, 0.1, 0.5, 1, 3}, grid 128;
+* ``k``, ``kdeg``: the K-functional value and minimizer_degree at alpha = 1, delta in {0.02, 0.3},
+  polished and not, for sequences of band at most 128;
+* ``binom``: binom(alpha, j) for 0 <= j <= alpha < 40 and a few fractional alpha;
+* ``cli``: the exit code and stdout of about 20 CLI invocations, run in-process in a temporary
+  directory with relative file names, so the bytes do not depend on a path.
+
+The comparison prints, per kind, the entry count on each side, the bit-identical count and the
+largest relative move (for ``cli``, over the numbers printed), then every differing integer entry
+and, for every differing CLI output, how many of its numbers moved and each move (only the
+largest when more than four moved).
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from orliczseq import approx, cli, fracdiff, kfunc, orlicz, spectrum  # noqa: E402
+from orliczseq.spectrum import CoeffSeq  # noqa: E402
+
+GAUGES = {
+    "power(1)": orlicz.power(1),
+    "power(1.5)": orlicz.power(1.5),
+    "power(2)": orlicz.power(2),
+    "power(3)": orlicz.power(3),
+    "exp_minus_one": orlicz.exp_minus_one(),
+    "power_log(2)": orlicz.power_log(2),
+}
+ALPHAS, DELTAS = (0.5, 1.0, 2.0), (0.01, 0.1, 0.5, 1.0, 3.0)
+K_DELTAS, K_BAND = (0.02, 0.3), 128
+
+
+def _draw(band, seed):
+    """Full band -band..band with complex normal amplitudes decaying like 1 / (1 + |k|)."""
+    rng = np.random.default_rng([band, seed])
+    ks = np.arange(-band, band + 1)
+    return CoeffSeq.from_arrays(ks, (rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size))
+                                / (1.0 + np.abs(ks)))
+
+
+def sequences():
+    seqs = {f"band{b}-s{s}": _draw(b, s) for b in (4, 16, 64, 128, 1024) for s in range(3)}
+    for spec in ({1: 1, 4093: 0.3}, {1: 1, 97: 0.5, 301: 0.2}, {5: 1}, {0: 2, 3: 1}):
+        seqs[json.dumps(spec).replace(" ", "")] = CoeffSeq(spec)
+    return seqs
+
+
+def _cli_runs(seqs):
+    """stdout of CLI invocations on a few coefficient files, keyed by the command line."""
+    exp, plog = '{"family":"exp_minus_one"}', '{"family":"power_log","p":2}'
+    p1, p15 = '{"family":"power","p":1}', '{"family":"power","p":1.5}'
+    runs = [
+        "norm --input a.jsonl", f"norm --input a.jsonl --orlicz {exp}",
+        "onorm --input a.jsonl", f"onorm --input a.jsonl --orlicz {exp}",
+        f"onorm --input a.jsonl --orlicz {plog} --tol 1e-6", f"onorm --input b.jsonl --orlicz {p1}",
+        "en --input a.jsonl --n 5", f"en --input b.jsonl --n 3 --orlicz {p15}",
+        "omega --input a.jsonl --alpha 1.5 --delta 0.3 --grid 64",
+        f"omega --input b.jsonl --alpha 2 --delta 1 --orlicz {exp}",
+        "kfunc --input a.jsonl --alpha 1 --delta 0.2", f"kfunc --input b.jsonl --delta 0.02 --orlicz {p1}",
+        "kernel --n 6 --r 2", "sigma --input a.jsonl --alpha 2 --n 5",
+        "sigma --input a.jsonl --alpha 2 --n 5 --output s.jsonl",
+        "verify direct --alpha 1 --n-max 32", f"verify direct --alpha 1 --n-max 16 --orlicz {exp} --format csv",
+        "verify inverse --alpha 1 --n-max 32", "verify equiv --alpha 1",
+        "verify classify --input c.jsonl --r 1 --alpha 2 --n-max 32",
+        "verify rates --beta 1 --alpha 2 --band 256", "verify balpha --r 1 --alpha 2",
+    ]
+    out, cwd = {}, os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            spectrum.write_coeffs(seqs["band16-s0"], "a.jsonl")
+            spectrum.write_coeffs(seqs["band64-s1"], "b.jsonl")
+            spectrum.write_coeffs(CoeffSeq({k: k ** -1.5 for k in range(1, 257)}), "c.jsonl")
+            for line in runs:
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = cli.run(re.findall(r"\{[^}]*\}|\S+", line))
+                out[f"cli|{line}"] = f"exit {code}\n{buf.getvalue()}"
+        finally:
+            os.chdir(cwd)
+    return out
+
+
+def battery():
+    seqs, out = sequences(), {}
+    for gname, phi in GAUGES.items():
+        for sname, f in seqs.items():
+            key = f"{gname}|{sname}"
+            out[f"lux|{key}"] = orlicz.luxemburg_norm(phi, f)
+            out[f"dual|{key}"] = orlicz.orlicz_norm(phi, f)
+            n = 1 + f.max_freq // 4
+            out[f"en|{key}|n={n}"] = approx.best_approx(f, phi, n)
+            for a in ALPHAS:
+                for d in DELTAS:
+                    out[f"modulus|{key}|alpha={a}|delta={d}"] = fracdiff.modulus(f, phi, a, d, grid=128)
+            if f.max_freq > K_BAND:
+                continue
+            for d in K_DELTAS:
+                for polish in (False, True):
+                    est = kfunc.k_functional(f, phi, 1.0, d, polish=polish)
+                    out[f"k|{key}|delta={d}|polish={polish}"] = est.value
+                    out[f"kdeg|{key}|delta={d}|polish={polish}"] = est.minimizer_degree
+    for a in [float(a) for a in range(40)] + [0.5, 1.5, 2.7, 11.5, 39.3]:
+        for j in range(int(a) + 2 if a.is_integer() else 41):
+            out[f"binom|alpha={a}|j={j}"] = fracdiff.binom(a, j)
+    out.update(_cli_runs(seqs))
+    return out
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan|Infinity|NaN)")
+
+
+def _move(a, b):
+    """Relative move from a to b: 0 when bit-identical or both nan, inf when only one is finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _numbers(text):
+    return [float(t) for t in _NUMBER.findall(text)]
+
+
+def compare(a, b):
+    kinds = sorted({k.split("|")[0] for k in list(a) + list(b)})
+    print(f"{'kind':<8} {'count A':>8} {'count B':>8} {'identical':>10} {'max rel move':>13}")
+    notes = []
+    for kind in kinds:
+        ka = {k for k in a if k.startswith(kind + "|")}
+        kb = {k for k in b if k.startswith(kind + "|")}
+        shared = sorted(ka & kb)
+        same = sum(json.dumps(a[k]) == json.dumps(b[k]) for k in shared)
+        worst = 0.0
+        for k in shared:
+            va, vb = a[k], b[k]
+            if isinstance(va, str):
+                if va == vb:
+                    continue
+                na, nb = _numbers(va), _numbers(vb)
+                if len(na) != len(nb):
+                    worst = math.inf
+                    notes.append(f"{k}: the count of printed numbers changed")
+                    continue
+                moved = sorted((_move(x, y), x, y) for x, y in zip(na, nb) if _move(x, y))
+                worst = max([worst] + [r for r, _, _ in moved])
+                shown = moved if len(moved) <= 4 else moved[-1:]
+                notes.append(f"{k}: {len(moved)} of {len(na)} numbers moved"
+                             + "".join(f"; {x!r} -> {y!r} ({r:.2g})" for r, x, y in shown))
+            else:
+                worst = max(worst, _move(float(va), float(vb)))
+                if isinstance(va, int) and va != vb:
+                    notes.append(f"{k}: {va} -> {vb}")
+        print(f"{kind:<8} {len(ka):>8} {len(kb):>8} {same:>10} {worst:>13.3g}")
+        notes += [f"only in A: {k}" for k in sorted(ka - kb)] + [f"only in B: {k}" for k in sorted(kb - ka)]
+    for line in notes:
+        print(line)
+
+
+def main(argv):
+    if len(argv) == 1:
+        Path(argv[0]).write_text(json.dumps(battery(), indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    elif len(argv) == 2:
+        compare(*(json.loads(Path(p).read_text(encoding="utf-8")) for p in argv))
+    else:
+        sys.exit(__doc__)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
