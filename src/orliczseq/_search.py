@@ -18,10 +18,10 @@ def _bisect(above, lo, hi, rtol):
 
     lo and hi are scalars or aligned arrays of brackets; above(mid) returns a
     bool of the same shape.  Stops once every bracket has hi - lo <= rtol * hi
-    and returns the final (lo, hi).
+    and returns the final (lo, hi).  The midpoint 0.5 lo + 0.5 hi cannot overflow.
     """
     for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         up = above(mid)
         hi = np.where(up, mid, hi)
         lo = np.where(up, lo, mid)

@@ -71,8 +71,7 @@ def jackson_kernel(n: int, r: int = 0):
     p = int(n) // (2 * k0) + 1
     ones = np.ones(p)
     conv = ones
-    # p = 1 is the constant kernel: every convolution would return [1.0]
-    for _ in range(2 * k0 - 1 if p > 1 else 0):
+    for _ in range(2 * k0 - 1):
         conv = np.convolve(conv, ones)
     deg = k0 * (p - 1)
     center = conv[deg]

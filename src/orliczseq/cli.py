@@ -180,12 +180,10 @@ def _dispatch(parser, args) -> int:
 def _run_verify(parser, args):
     phi = _load_gauge(parser, args)
     kind = args.kind
-    if kind == "direct":
-        return verify.direct_report(args.family, args.alpha, phi, n_max=args.n_max,
-                                    seed=args.seed, grid=args.grid, rtol=args.tol)
-    if kind == "inverse":
-        return verify.inverse_report(args.family, args.alpha, phi, n_max=args.n_max,
-                                     seed=args.seed, grid=args.grid, rtol=args.tol)
+    if kind in ("direct", "inverse"):
+        sweep = verify.direct_report if kind == "direct" else verify.inverse_report
+        return sweep(args.family, args.alpha, phi, n_max=args.n_max, seed=args.seed, grid=args.grid,
+                     rtol=args.tol)
     if kind == "equiv":
         return verify.equivalence_report(args.family, args.alpha, phi, seed=args.seed,
                                          grid=args.grid, rtol=args.tol)

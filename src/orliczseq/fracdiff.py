@@ -101,8 +101,8 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
 
     alpha = 0 returns the plain norm of f.  The shift norm is even in h, so
     the search runs over [0, delta]: a uniform grid of `grid` points, then a
-    zoom on the bracket around the best grid shift (the end cell when that is
-    0 or delta).  Each step solves the midpoints between the bracket's centre
+    zoom on the bracket around the best grid shift (the last cell when that is
+    delta).  Each step solves the midpoints between the bracket's centre
     and its ends and centres a bracket half as wide on the best of the three,
     until it is narrower than sqrt(rtol) / max|k|.  The result is the largest
     norm met, so always a lower bound for the supremum.
@@ -134,9 +134,9 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     g = norms(hs.ravel()).reshape(hs.shape)
     i, step = g.argmax(axis=1), deltas / (grid - 1)
     best = g[np.arange(deltas.size), i]
-    # the bracket c -+ w and the norm gc at its centre, unsolved (nan) in an end cell
-    edge = (i == 0) | (i == grid - 1)
-    c = np.clip(i * step, step / 2.0, deltas - step / 2.0)
+    # the bracket c -+ w and its centre's norm gc, unsolved (nan) in the last cell; g[:, 0] = 0 (h = 0)
+    edge = i == grid - 1
+    c = np.minimum(i * step, deltas - step / 2.0)
     w, gc = np.where(edge, step / 2.0, step), np.where(edge, np.nan, best)
     # Near an interior maximum the norm is quadratic in h on the scale 1 / max|k| of its fastest
     # harmonic, so this pins it to ~rtol; all-zero norms (underflow at a large alpha) need no zoom.

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._search import _zoom
 from .fracdiff import frac_difference
-from .orlicz import _blocks, _gauge_inverse, _lux_rows, _window_norms, luxemburg_norm
+from .orlicz import _gauge_inverse, _lux_rows, _window_norms, luxemburg_norm
 from .spectrum import CoeffSeq, PsiWeights, psi_derivative
 
 __all__ = ["KEstimate", "k_functional", "difference_derivative_bracket"]
@@ -107,8 +107,7 @@ def _polish(absc, absk, band, alpha, deriv_w, dpows, phi, rtol):
         with np.errstate(over="ignore", divide="ignore"):
             x = np.exp(s[:, None] + la)  # mu |k|**alpha
             rows[0::2, band], rows[1::2, band] = a / (1.0 + x ** -q), w / (1.0 + x ** q)  # a (1 - c_k), w c_k
-        tail, head = np.concatenate([_lux_rows(rows[b], phi, rtol=rtol)
-                                     for b in _blocks(len(rows), absc.size)]).reshape(-1, 2).T
+        tail, head = _lux_rows(rows, phi, rtol=rtol).reshape(-1, 2).T
         return -(tail + dpows[i] * head)
 
     # 40 / q beyond the band's ends every c_k is within e**-40 of 0 or 1
@@ -140,6 +139,6 @@ def difference_derivative_bracket(tau: CoeffSeq, phi, alpha: float, n: int, h: f
         raise ValueError("shift must lie in [0, 2*pi/n]")
     dnorm = luxemburg_norm(phi, psi_derivative(tau, PsiWeights.fractional(alpha)), rtol=rtol)
     low = (math.sin(0.5 * n * h) / (0.5 * n)) ** alpha * dnorm
-    mid = luxemburg_norm(phi, frac_difference(tau, alpha, h), rtol=rtol) if h > 0 else 0.0
+    mid = luxemburg_norm(phi, frac_difference(tau, alpha, h), rtol=rtol)
     high = h ** alpha * dnorm
     return low, mid, high

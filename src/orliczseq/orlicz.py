@@ -261,7 +261,6 @@ def _lux_rows(vals, phi, *, rtol=1e-12):
     vals = np.asarray(vals, dtype=float)
     out = np.zeros(vals.shape[0])
     row_max = vals.max(axis=1, initial=0.0)
-    row_sum = vals.sum(axis=1)
     active = row_max > 0
     if not np.any(active):
         return out
@@ -269,15 +268,18 @@ def _lux_rows(vals, phi, *, rtol=1e-12):
     buf = np.empty_like(w)  # w / a, reused by every step: fresh pages per step cost more than the step
 
     def fits(a):
-        # sum_k M(w_k / a) per row; overflow saturates to +inf, which counts as "> 1"
-        with np.errstate(over="ignore"):
-            return np.asarray(phi.eval(np.divide(w, a[:, None], out=buf)), dtype=float).sum(axis=1) <= 1.0
+        # sum_k M(w_k / a) per row; a >= lo keeps every w_k / a <= M^-1(1), so no term passes ~1
+        return np.asarray(phi.eval(np.divide(w, a[:, None], out=buf)), dtype=float).sum(axis=1) <= 1.0
 
     # Provable bracket, hi / lo <= nnz: at lo the largest term alone reaches 1; at hi each w_k / a is at
     # most u = M^-1(1) and they sum to u, so the chord M(x) <= x M(u) / u keeps the sum <= M(u) <= 1.
-    lo = row_max[active] / _gauge_inverse(phi, 1.0, "upper")
-    lo, hi = _bisect(fits, lo, row_sum[active] / _gauge_inverse(phi, 1.0, "lower"), rtol)
-    out[active] = 0.5 * (lo + hi)
+    # Both ends are clamped to the double range; a root beyond it leaves hi at the clamp and is inf.
+    big = np.finfo(float).max
+    with np.errstate(over="ignore"):
+        lo = np.minimum(row_max[active] / _gauge_inverse(phi, 1.0, "upper"), big)
+        hi = np.minimum(w.sum(axis=1) / _gauge_inverse(phi, 1.0, "lower"), big)
+    lo, hi = _bisect(fits, lo, hi, rtol)
+    out[active] = np.where(hi < big, 0.5 * lo + 0.5 * hi, INF)
     return out
 
 
@@ -324,13 +326,12 @@ def orlicz_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
     convexity) and exceeds 2 >= 2 ||b||_Lux >= ||b||_O below kappa = 1/2, as L >= ||f||_Lux by
     the chord bound in _lux_rows.  One zoom over log kappa in [log 1/2, log 1e18] to half-width
     sqrt(rtol) finds it to about rtol; overflow makes the ratio +inf.  Gauges of linear growth
-    reach their infimum at kappa -> inf; the value at the cap is within ~1e-18 L of it.
+    reach their infimum at kappa -> inf; the value at the cap is within ~1e-18 L of it.  L is
+    clamped to the double range (still >= a finite ||f||_Lux), and a norm beyond it is inf.
     """
     a = np.abs(f.as_arrays()[1])
     if a.size == 0:
         return 0.0
-    scale = a.sum() / _gauge_inverse(phi, 1.0, "lower")
-    b = a / scale
 
     def minus_ratio(_, t):
         kappa = np.exp(t)
@@ -338,8 +339,10 @@ def orlicz_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
 
     lo, hi = math.log(0.5), math.log(1e18)
     with np.errstate(over="ignore", invalid="ignore"):
+        scale = min(a.sum() / _gauge_inverse(phi, 1.0, "lower"), np.finfo(float).max)
+        b = a / scale
         neg = _zoom(minus_ratio, 0.5 * (lo + hi), 0.5 * (hi - lo), [np.nan], math.sqrt(rtol))[1]
-    return float(-neg[0] * scale)
+        return float(-neg[0] * scale)
 
 
 def dual_witness(phi: OrliczFunction, f, *, rtol: float = 1e-12):

@@ -10,6 +10,7 @@ digits) or CSV.
 
 import csv
 import io
+import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -53,7 +54,7 @@ def format_json(obj, indent=0) -> str:
         if not obj:
             return "{}"
         rows = [
-            f'{pad}  {_escape(str(k))}: {format_json(v, indent + 1)}' for k, v in obj.items()
+            f'{pad}  {format_json(str(k))}: {format_json(v, indent + 1)}' for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -70,13 +71,8 @@ def format_json(obj, indent=0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        return _escape(obj)
+        return json.dumps(obj, ensure_ascii=False)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _escape(s: str) -> str:
-    out = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{out}"'
 
 
 # -- reports ----------------------------------------------------------------------
@@ -477,21 +473,20 @@ def rates_report(beta: float, alpha: float, phi: OrliczFunction, band: int = 409
 _PROBES = [(f"harmonic k={k}", CoeffSeq({k: 1.0})) for k in (1, 3, 16, 64)]
 
 
-def _sweep(report, family, num_funcs, seed, suffixes, ok, rows):
-    """Add the rows of every swept member to the report, then the stabilization row.
+def _sweep(name, params, family, num_funcs, seed, suffixes, ok, rows):
+    """Build a sweep's report: the rows of every member, none skipped, then the stabilization row.
 
-    rows(f) returns one member's lhs and rhs values, aligned with suffixes and
-    each solved as one batch; the row's ratio is lhs / rhs in IEEE arithmetic,
-    so a zero rhs gives inf or nan, and ok(ratio) is its verdict.  Members
-    without a nonconstant frequency are skipped.  Sets the empirical constant
-    to the running sup and returns the ratios.
+    rows(f) returns one member's lhs and rhs values, aligned with suffixes and each solved as one
+    batch; the row's ratio is lhs / rhs in IEEE arithmetic, so a zero rhs gives inf or nan, and
+    ok(ratio) is its verdict.  Every probe and draw has a nonzero frequency.  The tolerance 0.05
+    is the stabilization bound: the last quarter may lift the running sup by under 5%.  Sets the
+    empirical constant to the running sup and returns (report, ratios), for the caller to finalize.
     """
+    report = Report(name=name, params=params, tolerance=0.05)
     gen, rng = generator(family), np.random.default_rng(seed)
     members = _PROBES + [(f"{family}[{i}]", gen(rng)) for i in range(num_funcs)]
     ratios = []
     for label, f in members:
-        if f.max_freq == 0:
-            continue
         for suffix, lhs, rhs in zip(suffixes, *rows(f)):
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios.append(float(np.float64(lhs) / rhs))
@@ -499,7 +494,7 @@ def _sweep(report, family, num_funcs, seed, suffixes, ok, rows):
     ok, sup_early, sup_all = _running_sup_stabilizes(ratios)
     report.add("stabilization", sup_early, 0.95 * sup_all, sup_early / sup_all if sup_all else 1.0, ok)
     report.empirical_constant = sup_all
-    return ratios
+    return report, ratios
 
 
 def direct_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int = 128,
@@ -511,17 +506,13 @@ def direct_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int 
     constant is finite and the running sup stabilizes (the last quarter of
     the samples changes it by under 5%).
     """
-    report = Report(
-        name="direct",
-        params={"family": family, "alpha": float(alpha), "orlicz": phi.spec_dict(),
-                "n_max": int(n_max), "num_funcs": int(num_funcs), "seed": int(seed),
-                "grid": int(grid), "search": "uniform-grid+batched-zoom"},
-        tolerance=0.05,
-    )
+    params = {"family": family, "alpha": float(alpha), "orlicz": phi.spec_dict(),
+              "n_max": int(n_max), "num_funcs": int(num_funcs), "seed": int(seed),
+              "grid": int(grid), "search": "uniform-grid+batched-zoom"}
     ns = np.array(_log_orders(n_max, 10))
-    _sweep(report, family, num_funcs, seed, [f"n={n}" for n in ns], math.isfinite,
-           lambda f: (_window_norms(f, phi, ns, np.inf, rtol), _moduli(f, phi, alpha, 1.0 / ns, grid, rtol)))
-    return report.finalize()
+    return _sweep("direct", params, family, num_funcs, seed, [f"n={n}" for n in ns], math.isfinite,
+                  lambda f: (_window_norms(f, phi, ns, np.inf, rtol),
+                             _moduli(f, phi, alpha, 1.0 / ns, grid, rtol)))[0].finalize()
 
 
 def inverse_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int = 128,
@@ -530,13 +521,9 @@ def inverse_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int
 
     Ratio recorded: omega_alpha(f, 1/n) * n**alpha / sum_{nu<=n} nu**(alpha-1) E_nu.
     """
-    report = Report(
-        name="inverse",
-        params={"family": family, "alpha": float(alpha), "orlicz": phi.spec_dict(),
-                "n_max": int(n_max), "num_funcs": int(num_funcs), "seed": int(seed),
-                "grid": int(grid)},
-        tolerance=0.05,
-    )
+    params = {"family": family, "alpha": float(alpha), "orlicz": phi.spec_dict(),
+              "n_max": int(n_max), "num_funcs": int(num_funcs), "seed": int(seed),
+              "grid": int(grid)}
     ns = np.array(_log_orders(n_max, 10))
     nu = np.arange(1, n_max + 1, dtype=float)
 
@@ -545,8 +532,8 @@ def inverse_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int
             rhs = np.cumsum(nu ** (alpha - 1.0) * _window_norms(f, phi, nu, np.inf, rtol)) / nu ** alpha
         return _moduli(f, phi, alpha, 1.0 / ns, grid, rtol), rhs[ns - 1]
 
-    _sweep(report, family, num_funcs, seed, [f"n={n}" for n in ns], math.isfinite, rows)
-    return report.finalize()
+    return _sweep("inverse", params, family, num_funcs, seed, [f"n={n}" for n in ns], math.isfinite,
+                  rows)[0].finalize()
 
 
 def equivalence_report(family: str, alpha: float, phi: OrliczFunction, *, deltas=None,
@@ -562,18 +549,14 @@ def equivalence_report(family: str, alpha: float, phi: OrliczFunction, *, deltas
     """
     if deltas is None:
         deltas = np.geomspace(1e-3, 1.0, 8)
-    report = Report(
-        name="equivalence",
-        params={"family": family, "alpha": float(alpha), "orlicz": phi.spec_dict(),
-                "num_funcs": int(num_funcs), "seed": int(seed), "grid": int(grid),
-                "polish": bool(polish), "deltas": [float(d) for d in deltas]},
-        tolerance=0.05,
-    )
-
-    ratios = _sweep(report, family, num_funcs, seed, [f"delta={float(d):.6g}" for d in deltas],
-                    lambda r: 0.0 < r < math.inf,
-                    lambda f: ([k.value for k in _k_functionals(f, phi, alpha, deltas, None, polish, rtol)],
-                               _moduli(f, phi, alpha, deltas, grid, rtol)))
+    params = {"family": family, "alpha": float(alpha), "orlicz": phi.spec_dict(),
+              "num_funcs": int(num_funcs), "seed": int(seed), "grid": int(grid),
+              "polish": bool(polish), "deltas": [float(d) for d in deltas]}
+    report, ratios = _sweep("equivalence", params, family, num_funcs, seed,
+                            [f"delta={float(d):.6g}" for d in deltas], lambda r: 0.0 < r < math.inf,
+                            lambda f: ([k.value for k in
+                                        _k_functionals(f, phi, alpha, deltas, None, polish, rtol)],
+                                       _moduli(f, phi, alpha, deltas, grid, rtol)))
     c1 = min(ratios) if ratios else 0.0
     c2 = max(ratios) if ratios else 0.0
     report.add("lower-envelope", c1, 0.0, c1, c1 > 0.0)

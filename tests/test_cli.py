@@ -244,3 +244,9 @@ def test_onorm_of_a_sequence_below_1e_292_prints_twice_its_l2_norm(coeff_file, c
     path = coeff_file("tiny.jsonl", {1: 1e-300, 3: 5e-301})
     assert run(["onorm", "--orlicz", P2, "--input", path]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(2.2360679775e-300, rel=1e-10)
+
+
+def test_norm_whose_coefficient_sum_overflows_prints_a_finite_value(coeff_file):
+    path = coeff_file("big.jsonl", {1: 1e308, 2: 1e308})
+    proc = _cli_subprocess("norm", "--orlicz", P2, "--input", path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1.4142135624e+308\n", "")

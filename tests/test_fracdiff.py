@@ -337,3 +337,11 @@ def test_shift_rows_built_in_place_match_the_temporaries_bit_for_bit(alpha):
     hs = np.append(0.0, rng.uniform(0.0, 2.0, 9))
     old = np.abs(2.0 * np.sin(np.outer(hs, ks) * 0.5)) ** alpha * np.abs(cs)
     assert np.array_equal(fracdiff._shift_rows(hs, ks, np.abs(cs), alpha), old)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 200.0])
+def test_the_zero_shift_row_is_all_zeros(alpha):
+    # so the modulus grid's best cell is h = 0 only when every grid norm is 0, and no zoom runs there
+    ks = np.array([-40, -7, -1, 0, 2, 5, 33, 64])
+    absc = np.abs(np.random.default_rng(51).standard_normal(ks.size))
+    assert not np.any(fracdiff._shift_rows(np.zeros(1), ks, absc, alpha))

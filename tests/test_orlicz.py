@@ -409,3 +409,63 @@ def test_orlicz_norm_of_8193_entries_takes_at_most_30_gauge_calls(phi):
     calls[0] = 0
     assert orlicz_norm(g, f) == orlicz_norm(phi, f)
     assert calls[0] <= 30
+
+
+# -- near the double limit -------------------------------------------------------
+
+
+def _no_warnings(fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn(*args)
+
+
+@pytest.mark.parametrize("phi", [power(2), power(3), power_log(2)], ids=str)
+def test_luxemburg_norm_is_finite_where_only_the_coefficient_sum_overflows(phi):
+    got = _no_warnings(luxemburg_norm, phi, CoeffSeq({1: 1e308, 2: 1e308}))
+    assert got == pytest.approx(1e308 * luxemburg_norm(phi, CoeffSeq({1: 1.0, 2: 1.0})), rel=1e-12)
+
+
+def test_orlicz_norm_is_finite_where_only_the_coefficient_sum_overflows():
+    got = _no_warnings(orlicz_norm, power(3), CoeffSeq({k: 1e307 for k in range(1, 101)}))
+    ones = CoeffSeq({k: 1.0 for k in range(1, 101)})
+    assert got == pytest.approx(1e307 * orlicz_norm(power(3), ones), rel=1e-12)
+
+
+@pytest.mark.parametrize("phi, f", [(power(2), CoeffSeq({1: 1.7e308, 2: 1.7e308})),
+                                    (exp_minus_one(), CoeffSeq({1: 1e308, 2: 1e308}))], ids=str)
+def test_norms_beyond_the_double_range_are_inf_without_a_warning(phi, f):
+    assert _no_warnings(luxemburg_norm, phi, f) == math.inf
+    assert _no_warnings(orlicz_norm, phi, f) == math.inf
+
+
+@pytest.mark.parametrize("phi", [power(2), power_log(2)], ids=str)
+@pytest.mark.parametrize("k", [-1000, 0, 1000, 1022])
+def test_luxemburg_norm_is_homogeneous_under_powers_of_two(phi, k):
+    f = CoeffSeq({1: 3.0, 5: 1.0, 9: 0.5})
+    got, want = luxemburg_norm(phi, 2.0 ** k * f), 2.0 ** k * luxemburg_norm(phi, f)
+    if k <= 1000:
+        assert got == want  # the bracket and every step scale exactly
+    else:
+        assert got == pytest.approx(want, rel=1e-12)  # the upper end is clamped to the double range
+
+
+def _raise_rows(n, rng):
+    """Rows of n entries: flat, 1/k, one dominant entry among 1e-9s and uniform draws, at three scales."""
+    k = np.arange(1.0, n + 1.0)
+    dominant = np.full(n, 1e-9)
+    dominant[n // 2] = 1.0
+    rows = np.array([np.ones(n), 1.0 / k, dominant, rng.uniform(size=n)])
+    return np.concatenate([rows, 1e-300 * rows, 1e300 * rows])
+
+
+@pytest.mark.parametrize("phi", [power(1), power(1.5), power(2), power(3), exp_minus_one(), power_log(1),
+                                 power_log(2)], ids=str)
+def test_luxemburg_steps_raise_no_floating_point_error(phi):
+    # every bisection point a >= max w / M^-1(1) keeps w_k / a <= M^-1(1), so no term can overflow
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 9, 129, 8193):
+        vals = _raise_rows(n, rng)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = orlicz._lux_rows(vals, phi)
+        assert np.all(np.isfinite(got) & (got > 0))

@@ -290,3 +290,18 @@ def test_sweeps_solve_each_member_in_few_batches(monkeypatch, sweep, kwargs, bou
     sweep("lacunary", 1.0, P2, num_funcs=2, grid=64, **kwargs)
     members = 4 + 2  # the harmonic probes and the seeded draws
     assert len(calls) <= bound * members
+
+
+def test_every_swept_member_has_a_nonzero_frequency():
+    from orliczseq.verify import _PROBES
+
+    assert all(f.max_freq >= 1 for _, f in _PROBES)
+    for family in list_families():
+        for seed in range(4):
+            gen, rng = generator(family), np.random.default_rng(seed)
+            assert all(gen(rng).max_freq >= 1 for _ in range(32))
+
+
+def test_format_json_escapes_every_string_as_json():
+    s = 'a"b\\c\nd\teé'
+    assert json.loads(format_json({"k": s})) == {"k": s}

@@ -8,6 +8,7 @@ compare two revisions copy this file into each checkout's ``tools`` directory an
 Recorded values, keyed ``kind|gauge|sequence|...``:
 
 * ``lux``, ``dual``, ``en``: the Luxemburg norm, the dual norm and E_n at n = 1 + max|k| // 4;
+  ``lux`` and ``dual`` also for three near-limit sequences whose sum of |c_k| overflows;
 * ``modulus``: at alpha in {0.5, 1, 2} and delta in {0.01, 0.1, 0.5, 1, 3}, grid 128;
 * ``k``, ``kdeg``: the K-functional value and minimizer_degree at alpha = 1, delta in {0.02, 0.3},
   polished and not, for sequences of band at most 128;
@@ -16,9 +17,9 @@ Recorded values, keyed ``kind|gauge|sequence|...``:
   directory with relative file names, so the bytes do not depend on a path.
 
 The comparison prints, per kind, the entry count on each side, the bit-identical count and the
-largest relative move (for ``cli``, over the numbers printed), then every differing integer entry
-and, for every differing CLI output, how many of its numbers moved and each move (only the
-largest when more than four moved).
+largest relative move (for ``cli``, over the numbers printed), then every differing integer entry,
+every entry that moved between inf and a finite value and, for every differing CLI output, how
+many of its numbers moved and each move (only the largest when more than four moved).
 """
 
 import contextlib
@@ -63,6 +64,13 @@ def sequences():
     for spec in ({1: 1, 4093: 0.3}, {1: 1, 97: 0.5, 301: 0.2}, {5: 1}, {0: 2, 3: 1}):
         seqs[json.dumps(spec).replace(" ", "")] = CoeffSeq(spec)
     return seqs
+
+
+def near_limit():
+    """Sequences whose sum |c_k| overflows; some of their norms are finite, some beyond the double range."""
+    return {"{1:1e308,2:1e308}": CoeffSeq({1: 1e308, 2: 1e308}),
+            "{k:1e307,1<=k<=100}": CoeffSeq({k: 1e307 for k in range(1, 101)}),
+            "2**1022*{1:3,5:1,9:0.5}": 2.0 ** 1022 * CoeffSeq({1: 3, 5: 1, 9: 0.5})}
 
 
 def _cli_runs(seqs):
@@ -120,6 +128,9 @@ def battery():
                     est = kfunc.k_functional(f, phi, 1.0, d, polish=polish)
                     out[f"k|{key}|delta={d}|polish={polish}"] = est.value
                     out[f"kdeg|{key}|delta={d}|polish={polish}"] = est.minimizer_degree
+        for sname, f in near_limit().items():
+            out[f"lux|{gname}|{sname}"] = orlicz.luxemburg_norm(phi, f)
+            out[f"dual|{gname}|{sname}"] = orlicz.orlicz_norm(phi, f)
     for a in [float(a) for a in range(40)] + [0.5, 1.5, 2.7, 11.5, 39.3]:
         for j in range(int(a) + 2 if a.is_integer() else 41):
             out[f"binom|alpha={a}|j={j}"] = fracdiff.binom(a, j)
@@ -169,8 +180,9 @@ def compare(a, b):
                 notes.append(f"{k}: {len(moved)} of {len(na)} numbers moved"
                              + "".join(f"; {x!r} -> {y!r} ({r:.2g})" for r, x, y in shown))
             else:
-                worst = max(worst, _move(float(va), float(vb)))
-                if isinstance(va, int) and va != vb:
+                move = _move(float(va), float(vb))
+                worst = max(worst, move)
+                if (isinstance(va, int) and va != vb) or move == math.inf:
                     notes.append(f"{k}: {va} -> {vb}")
         print(f"{kind:<8} {len(ka):>8} {len(kb):>8} {same:>10} {worst:>13.3g}")
         notes += [f"only in A: {k}" for k in sorted(ka - kb)] + [f"only in B: {k}" for k in sorted(kb - ka)]
