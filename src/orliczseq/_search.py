@@ -1,4 +1,7 @@
-"""Bracket searches: _grow and _bisect find where a monotone test turns true, _zoom the peak of a unimodal profile."""
+"""Bracket searches: _grow and _bisect find where a monotone test turns true, _zoom the peak of a unimodal profile.
+
+_bisect is bisection with safeguarded Newton steps: 2-6 steps per Luxemburg row, against 40-48 halvings.
+"""
 
 import numpy as np
 
@@ -14,19 +17,39 @@ def _grow(above):
 
 
 def _bisect(above, lo, hi, rtol):
-    """Halve [lo, hi] towards the point where the nondecreasing test `above` turns true.
+    """Bisection with safeguarded Newton steps onto the point where the nondecreasing test turns true.
 
-    lo and hi are scalars or aligned arrays of brackets; above(mid) returns a
-    bool of the same shape.  Stops once every bracket has hi - lo <= rtol * hi
-    and returns the final (lo, hi).  The midpoint 0.5 lo + 0.5 hi cannot overflow.
+    lo and hi are scalars or aligned arrays of brackets; above(x) returns a bool of the same shape,
+    or a pair (bool, guess).  Stops once every bracket has hi - lo <= rtol * hi and returns the
+    final (lo, hi), whose midpoint 0.5 lo + 0.5 hi cannot overflow.  A plain bool gets bisection.
+    A guess gets Brent's safeguard (zeroin), with h = rtol * hi / 2: one within h / 2 of the last
+    point x moves h across x to the open side, never twice in a row; any other is clipped to
+    [lo + h, hi - h] and taken if the clip moved it at most 2h and it lies within half the step
+    before of x.  Otherwise the midpoint is taken, and the next guess is judged against the
+    bracket's width.  A Luxemburg row closes in 2-6 steps with its Newton guess, 40-48 without.
     """
+    step = hi - lo  # the step before: a midpoint counts as the whole width
+    x = 0.5 * lo + 0.5 * hi
     for _ in range(_MAX_ITER):
-        mid = 0.5 * lo + 0.5 * hi
-        up = above(mid)
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-        if np.all(hi - lo <= rtol * hi):
+        up = above(x)
+        up, guess = up if isinstance(up, tuple) else (up, None)
+        hi = np.where(up, x, hi)
+        lo = np.where(up, lo, x)
+        width, tol = hi - lo, rtol * hi
+        if (width <= tol).all():
             break
+        mid = 0.5 * lo + 0.5 * hi
+        if guess is None:
+            x = mid
+            continue
+        h = 0.5 * tol
+        nudge = (abs(guess - x) <= 0.5 * h) & (step > 0)
+        # clipping x itself, an end of the bracket, moves it h towards the other end
+        g = np.minimum(np.maximum(np.where(nudge, x, guess), lo + h), hi - h)
+        dx = abs(g - x)
+        take = (width > tol) & (nudge | ((abs(g - guess) <= tol) & (dx <= 0.5 * step)))
+        x = np.where(take, g, mid)
+        step = np.where(take, np.where(nudge, 0.0, dx), width)
     return lo, hi
 
 

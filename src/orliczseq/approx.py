@@ -71,7 +71,9 @@ def jackson_kernel(n: int, r: int = 0):
     p = int(n) // (2 * k0) + 1
     ones = np.ones(p)
     conv = ones
-    for _ in range(2 * k0 - 1):
+    # p = 1 is the constant kernel, and each convolution of [1.0] returns [1.0]: skipping them saves
+    # 2 k0 - 1 ~ r calls, 17 s at r = 10**7
+    for _ in range(2 * k0 - 1 if p > 1 else 0):
         conv = np.convolve(conv, ones)
     deg = k0 * (p - 1)
     center = conv[deg]

@@ -125,9 +125,15 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     if alpha == 0:
         return np.full(deltas.size, luxemburg_norm(phi, f, rtol=rtol))
     ks, cs = f.as_arrays()
+    # A row entry |2 sin(hk/2)|**alpha |c_k| <= 2**alpha max|c| overflows near the top of the double range,
+    # where the modulus can still be finite.  There the rows are built from |c_k| / 2**e, which keeps them
+    # below 2**1022, and only the result is multiplied back: powers of two scale every norm exactly.
+    head = max(1022 - math.ceil(alpha), 0)
+    e = max(int(np.frexp(np.abs(cs).max(initial=0.0))[1]) - head, 0)
+    absc = np.ldexp(np.abs(cs), -e)
 
     def norms(hs):
-        return np.concatenate([_lux_rows(_shift_rows(hs[s], ks, np.abs(cs), alpha), phi, rtol=rtol)
+        return np.concatenate([_lux_rows(_shift_rows(hs[s], ks, absc, alpha), phi, rtol=rtol)
                                for s in _blocks(hs.size, ks.size)])
 
     hs = np.linspace(0.0, deltas, grid, axis=1)
@@ -141,7 +147,9 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     # Near an interior maximum the norm is quadratic in h on the scale 1 / max|k| of its fastest
     # harmonic, so this pins it to ~rtol; all-zero norms (underflow at a large alpha) need no zoom.
     stop = np.where(best > 0.0, math.sqrt(rtol) / (2.0 * max(f.max_freq, 1)), np.inf)
-    return np.fmax(best, _zoom(lambda _, hs: norms(hs), c, w, gc, stop)[1])
+    peak = np.fmax(best, _zoom(lambda _, hs: norms(hs), c, w, gc, stop)[1])
+    with np.errstate(over="ignore"):  # a modulus beyond the double range is inf
+        return np.ldexp(peak, e)
 
 
 def _shift_rows(hs, ks, absc, alpha):

@@ -5,7 +5,10 @@ primary norm of a coefficient sequence is the Luxemburg norm
 
     inf { a > 0 : sum_k M(|c_k| / a) <= 1 },
 
-solved here by bisection on the defining inequality.  The dual (Orlicz) norm
+solved here by bisection with safeguarded Newton steps on the defining
+inequality: 2-6 steps per row where plain bisection takes 40-48, and the
+result is still the midpoint of a two-sided bracket of width at most
+rtol * hi.  The dual (Orlicz) norm
 is computed through the equivalent one-parameter form
 
     inf_{kappa > 0} (1 + sum_k M(kappa |c_k|)) / kappa,
@@ -37,6 +40,7 @@ __all__ = [
 ]
 
 INF = math.inf
+_DBL_MAX = np.finfo(float).max
 
 # Rows are built and solved in blocks of at most this many entries: a rates report over 8192
 # entries peaks at 39 MB with 2**18, at 47 MB and 40% slower with 2**19, at 159 MB with 2**22.
@@ -262,24 +266,36 @@ def _lux_rows(vals, phi, *, rtol=1e-12):
     out = np.zeros(vals.shape[0])
     row_max = vals.max(axis=1, initial=0.0)
     active = row_max > 0
-    if not np.any(active):
+    if not active.any():
         return out
     w = vals if active.all() else vals[active]
     buf = np.empty_like(w)  # w / a, reused by every step: fresh pages per step cost more than the step
+    # The solve runs on s = a / 2**e, 2**e the power of two that puts the row's largest entry in [1, 2).
+    # The scaling is exact, and in s every bracket end and Newton guess stays within a factor of about
+    # nnz of 1, so the guess cannot overflow; the ends are clamped to s_max, where a = s 2**e = DBL_MAX.
+    top = row_max[active]
+    e = np.frexp(top)[1] - 1
+    s_max = np.ldexp(_DBL_MAX, -np.maximum(e, 0))
 
-    def fits(a):
-        # sum_k M(w_k / a) per row; a >= lo keeps every w_k / a <= M^-1(1), so no term passes ~1
-        return np.asarray(phi.eval(np.divide(w, a[:, None], out=buf)), dtype=float).sum(axis=1) <= 1.0
+    def fits(s):
+        # sum_k M(u_k) <= 1 per row, u = w / a, and the Newton guess s exp(rho log rho / S) for the root
+        # of log rho = 0 in log a, exact for t**p: rho = sum_k M(u_k), S = sum_k u_k M'(u_k) >= rho by
+        # convexity, so the step is at most |log rho|.  A row whose rho underflows to 0 gets no guess (nan).
+        # s >= lo keeps every u_k <= M^-1(1), so no term passes ~1 and nothing overflows.
+        u = np.divide(w, np.ldexp(s, e)[:, None], out=buf)
+        rho = np.asarray(phi.eval(u), dtype=float).sum(axis=1)
+        du = np.asarray(phi.right_derivative(u), dtype=float)
+        du *= u
+        log_rho = np.log(np.where(rho > 0, rho, np.nan))
+        return rho <= 1.0, s * np.exp(rho * log_rho / du.sum(axis=1))
 
     # Provable bracket, hi / lo <= nnz: at lo the largest term alone reaches 1; at hi each w_k / a is at
     # most u = M^-1(1) and they sum to u, so the chord M(x) <= x M(u) / u keeps the sum <= M(u) <= 1.
-    # Both ends are clamped to the double range; a root beyond it leaves hi at the clamp and is inf.
-    big = np.finfo(float).max
-    with np.errstate(over="ignore"):
-        lo = np.minimum(row_max[active] / _gauge_inverse(phi, 1.0, "upper"), big)
-        hi = np.minimum(w.sum(axis=1) / _gauge_inverse(phi, 1.0, "lower"), big)
+    # A root beyond the double range leaves hi at the clamp and is inf.
+    lo = np.minimum(np.ldexp(top, -e) / _gauge_inverse(phi, 1.0, "upper"), s_max)
+    hi = np.minimum(np.ldexp(w, -e[:, None], out=buf).sum(axis=1) / _gauge_inverse(phi, 1.0, "lower"), s_max)
     lo, hi = _bisect(fits, lo, hi, rtol)
-    out[active] = np.where(hi < big, 0.5 * lo + 0.5 * hi, INF)
+    out[active] = np.where(hi < s_max, np.ldexp(0.5 * lo + 0.5 * hi, e), INF)
     return out
 
 
@@ -309,8 +325,9 @@ def _lux_norm(a, phi, rtol):
 def luxemburg_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
     """Luxemburg norm inf { a > 0 : sum M(|c_k|/a) <= 1 }; 0 for the zero sequence.
 
-    The map a -> sum M(|c_k|/a) is nonincreasing, so plain bisection applies;
-    the result is the midpoint of the final bracket at relative width rtol.
+    The map a -> sum M(|c_k|/a) is nonincreasing, so bisection applies; safeguarded Newton
+    steps on log of the sum in log a (exact for t**p) close the bracket in 2-6 steps instead
+    of 40-48.  The result is the midpoint of the final bracket [lo, hi], hi - lo <= rtol * hi.
     """
     return _lux_norm(np.abs(f.as_arrays()[1]), phi, rtol)
 
@@ -339,7 +356,7 @@ def orlicz_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
 
     lo, hi = math.log(0.5), math.log(1e18)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = min(a.sum() / _gauge_inverse(phi, 1.0, "lower"), np.finfo(float).max)
+        scale = min(a.sum() / _gauge_inverse(phi, 1.0, "lower"), _DBL_MAX)
         b = a / scale
         neg = _zoom(minus_ratio, 0.5 * (lo + hi), 0.5 * (hi - lo), [np.nan], math.sqrt(rtol))[1]
         return float(-neg[0] * scale)

@@ -296,6 +296,16 @@ def test_constant_kernel_needs_no_convolutions():
     assert kern == CoeffSeq({0: 1.0 / (2.0 * math.pi)})
 
 
+def test_constant_kernel_makes_no_convolution_call(monkeypatch):
+    # 2 k0 - 1 ~ r convolutions of [1.0] would each return [1.0]; at r = 10**7 they took 17 s
+    def refuse(*args):
+        raise AssertionError("np.convolve called for a constant kernel")
+
+    monkeypatch.setattr(np, "convolve", refuse)
+    spec, kern = jackson_kernel(4, 10**7)
+    assert spec.p == 1 and kern == CoeffSeq({0: 1.0 / (2.0 * math.pi)})
+
+
 def test_kernel_beyond_2_53_stays_within_rounding_of_the_integer_convolution():
     # the centre is 4.48e18: above 2**53, so the float64 convolution rounds,
     # but below 2**63, so the int64 reference is exact

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from orliczseq.cli import run
+from orliczseq.fracdiff import modulus
+from orliczseq.orlicz import from_spec
 from orliczseq.spectrum import CoeffSeq, read_coeffs, write_coeffs
 
 P2 = '{"family":"power","p":2}'
@@ -250,3 +252,19 @@ def test_norm_whose_coefficient_sum_overflows_prints_a_finite_value(coeff_file):
     path = coeff_file("big.jsonl", {1: 1e308, 2: 1e308})
     proc = _cli_subprocess("norm", "--orlicz", P2, "--input", path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1.4142135624e+308\n", "")
+
+
+def test_omega_whose_shift_rows_would_overflow_prints_a_finite_value(coeff_file):
+    # |2 sin(h/2)| |c_1| passes the double range near h = pi, but the modulus, about 1.747e308, does not
+    plog = '{"family":"power_log","p":2}'
+    path = coeff_file("big.jsonl", {1: 1e308})
+    proc = _cli_subprocess("omega", "--alpha", "1", "--delta", "3.14159", "--orlicz", plog, "--input", path)
+    want = 1e308 * modulus(CoeffSeq({1: 1.0}), from_spec(json.loads(plog)), 1.0, 3.14159)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert float(proc.stdout) == float(f"{want:.11g}") and math.isfinite(want)
+
+
+def test_omega_beyond_the_double_range_prints_inf_without_a_warning(coeff_file):
+    path = coeff_file("big.jsonl", {1: 1e308})
+    proc = _cli_subprocess("omega", "--alpha", "1", "--delta", "3", "--orlicz", P2, "--input", path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "inf\n", "")

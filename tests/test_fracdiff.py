@@ -345,3 +345,20 @@ def test_the_zero_shift_row_is_all_zeros(alpha):
     ks = np.array([-40, -7, -1, 0, 2, 5, 33, 64])
     absc = np.abs(np.random.default_rng(51).standard_normal(ks.size))
     assert not np.any(fracdiff._shift_rows(np.zeros(1), ks, absc, alpha))
+
+
+def _band(band, seed):
+    rng = np.random.default_rng([band, seed])
+    ks = np.arange(-band, band + 1)
+    return CoeffSeq.from_arrays(ks, (rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size))
+                                / (1.0 + np.abs(ks)))
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+@pytest.mark.parametrize("f", [_band(16, 0), CoeffSeq({1: 1, 97: 0.5, 301: 0.2}), CoeffSeq({0: 2, 3: 1})],
+                         ids=["band16", "three-harmonics", "with-constant"])
+def test_modulus_scales_exactly_by_powers_of_two(phi, f):
+    # every shift row, bracket end and Newton guess scales by the same power of two
+    for alpha, delta in ((0.5, 0.1), (1.0, 1.0), (2.0, 3.0)):
+        got = modulus(2.0 ** 600 * f, phi, alpha, delta, grid=32)
+        assert got == 2.0 ** 600 * modulus(f, phi, alpha, delta, grid=32)

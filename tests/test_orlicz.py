@@ -469,3 +469,34 @@ def test_luxemburg_steps_raise_no_floating_point_error(phi):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             got = orlicz._lux_rows(vals, phi)
         assert np.all(np.isfinite(got) & (got > 0))
+
+
+@pytest.mark.parametrize("phi", [power(1), power(1.5), power(2), power(3), exp_minus_one(), power_log(1),
+                                 power_log(2)], ids=str)
+@pytest.mark.parametrize("n", [9, 129, 8193])
+def test_luxemburg_rows_close_in_at_most_8_newton_steps(phi, n, monkeypatch):
+    # plain bisection took 40-48 steps per batch here
+    steps = []
+    bisect = orlicz._bisect
+
+    def spy(above, lo, hi, rtol):
+        def counted(s):
+            steps[-1] += 1
+            return above(s)
+
+        steps.append(0)
+        return bisect(counted, lo, hi, rtol)
+
+    monkeypatch.setattr(orlicz, "_bisect", spy)
+    rows = np.array(_raise_rows(n, np.random.default_rng(n))[:4])
+    for vals in [*rows[:, None, :], rows]:  # each row alone, then all four as one batch
+        got = orlicz._lux_rows(vals, phi)
+        assert steps[-1] <= 8
+        assert np.all(np.abs(np.asarray(phi.eval(vals / got[:, None])).sum(axis=1) - 1.0) <= 1e-10)
+
+
+def test_a_row_whose_gauge_sum_underflows_at_the_midpoint_raises_no_floating_point_error():
+    # at the first midpoint sum_k (1 / a)**100 is 0, so that step has no Newton guess
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = orlicz._lux_rows(np.ones((1, 8193)), power(100))
+    assert got[0] == pytest.approx(8193 ** (1 / 100), rel=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orliczseq._search import _grow, _zoom
+from orliczseq._search import _bisect, _grow, _zoom
 
 
 def _recording(profile):
@@ -74,3 +74,76 @@ def test_grow_gives_inf_past_1e30_without_evaluating_there():
     seen = []
     assert _grow(lambda t: seen.append(t)) == np.inf
     assert seen[-1] == 2.0 ** 99 and len(seen) == 100
+
+
+def _counted(test):
+    """above(x) for _bisect that records every point it is asked about."""
+    seen = []
+
+    def above(x):
+        seen.append(float(x))
+        return test(x)
+
+    return above, seen
+
+
+def _plain_points(root, lo, hi, rtol):
+    """The midpoints plain bisection visits on [lo, hi] for the test x >= root."""
+    points = []
+    while True:
+        mid = 0.5 * lo + 0.5 * hi
+        points.append(mid)
+        lo, hi = (lo, mid) if mid >= root else (mid, hi)
+        if hi - lo <= rtol * hi:
+            return points
+
+
+def _holds(lo, hi, root, rtol):
+    return lo < root <= hi and hi - lo <= rtol * hi
+
+
+def test_a_plain_bool_test_visits_exactly_the_midpoints():
+    above, seen = _counted(lambda x: x >= 0.3)
+    lo, hi = _bisect(above, 0.0, 1.0, 1e-12)
+    assert seen == _plain_points(0.3, 0.0, 1.0, 1e-12)
+    assert _holds(lo, hi, 0.3, 1e-12)
+
+
+@pytest.mark.parametrize("root", [0.3, 0.999, 1e-3])
+def test_an_exact_guess_closes_in_three_calls(root):
+    above, seen = _counted(lambda x: (x >= root, root))
+    lo, hi = _bisect(above, 0.0, 1.0, 1e-12)
+    assert len(seen) <= 3 and _holds(lo, hi, root, 1e-12)
+
+
+@pytest.mark.parametrize("guess", [1.0, 1.0 + 2.0 ** -52], ids=["hi", "hi+ulp"])
+def test_a_guess_on_or_just_past_a_root_at_hi_closes_in_three_calls(guess):
+    # power(1): the chord bound is an equality, so the root is the bracket's upper end
+    above, seen = _counted(lambda x: (x >= 1.0, guess))
+    lo, hi = _bisect(above, 0.25, 1.0, 1e-12)
+    assert len(seen) <= 3 and _holds(lo, hi, 1.0, 1e-12)
+
+
+@pytest.mark.parametrize("guess", [np.nan, np.inf, 0.0, -1.0, 2.0, 1e300],
+                         ids=["nan", "inf", "lo", "below", "above", "far-above"])
+@pytest.mark.parametrize("root", [0.3, 0.7, 1e-3, 0.999])
+def test_useless_guesses_cost_at_most_twice_plain_bisection(guess, root):
+    above, seen = _counted(lambda x: (x >= root, guess))
+    lo, hi = _bisect(above, 0.0, 1.0, 1e-12)
+    assert _holds(lo, hi, root, 1e-12)
+    assert len(seen) <= 2 * len(_plain_points(root, 0.0, 1.0, 1e-12))
+
+
+def test_a_guess_that_trails_the_last_point_cannot_creep():
+    # every guess sits on the last point, so a nudge would follow a nudge by only rtol * hi / 2
+    above, seen = _counted(lambda x: (x >= 0.3, x))
+    lo, hi = _bisect(above, 0.0, 1.0, 1e-12)
+    assert _holds(lo, hi, 0.3, 1e-12)
+    assert len(seen) <= 2 * len(_plain_points(0.3, 0.0, 1.0, 1e-12))
+
+
+def test_rows_of_a_batch_are_safeguarded_independently():
+    roots = np.array([0.3, 0.7, 1e-3, 0.5])
+    guesses = np.array([0.3, np.nan, 2.0, 0.5])  # exact, none, outside, exact on the first midpoint
+    lo, hi = _bisect(lambda x: (x >= roots, guesses), np.zeros(4), np.ones(4), 1e-12)
+    assert np.all((lo < roots) & (roots <= hi) & (hi - lo <= 1e-12 * hi))
