@@ -14,7 +14,7 @@ import numpy as np
 
 from .fracdiff import _signed_coeffs
 from .orlicz import _window_norms, luxemburg_norm
-from .spectrum import CoeffSeq, PsiWeights, _as_int, psi_derivative
+from .spectrum import CoeffSeq, PsiWeights, _as_int, _check_band, psi_derivative
 
 __all__ = [
     "best_approx",
@@ -149,10 +149,7 @@ def psi_bernstein_ratio(tau: CoeffSeq, phi, psi: PsiWeights, n: int, *, rtol: fl
     The caller asserts lhs <= bound; equality holds for a single harmonic at a
     frequency where |psi| attains its band minimum.
     """
-    if n < 1:
-        raise ValueError("band must contain at least k = 1")
-    if tau.max_freq > n:
-        raise ValueError(f"polynomial has support beyond |k| = {n}")
+    _check_band(tau, n)
     lhs = luxemburg_norm(phi, psi_derivative(tau, psi), rtol=rtol)
     return lhs, luxemburg_norm(phi, tau, rtol=rtol) / psi.min_abs_band(n)
 

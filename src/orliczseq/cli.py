@@ -100,10 +100,10 @@ def _emit(path, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_value(path, value: float) -> None:
+def _value_text(value: float) -> str:
     # scalars are printed just inside the default solver tolerance so that
     # bracket-midpoint noise in the trailing digits does not leak into output
-    _emit(path, repr(float(f"{float(value):.11g}")) + "\n")
+    return repr(float(f"{float(value):.11g}")) + "\n"
 
 
 def _require(parser, args, *names):
@@ -127,13 +127,16 @@ def run(argv=None) -> int:
         return _EXIT_USAGE
 
 
-# Commands that print one number: (required flags, value of (args, phi, f)).
+# Commands that print one result for a gauge and an input file: (required flags, text of (args, phi, f)).
 _SCALAR = {
-    "norm": ((), lambda args, phi, f: orlicz.luxemburg_norm(phi, f, rtol=args.tol)),
-    "onorm": ((), lambda args, phi, f: orlicz.orlicz_norm(phi, f, rtol=args.tol)),
-    "en": (("n",), lambda args, phi, f: approx.best_approx(f, phi, args.n, rtol=args.tol)),
-    "omega": (("delta",), lambda args, phi, f: fracdiff.modulus(
-        f, phi, args.alpha, args.delta, grid=args.grid, rtol=args.tol)),
+    "norm": ((), lambda args, phi, f: _value_text(orlicz.luxemburg_norm(phi, f, rtol=args.tol))),
+    "onorm": ((), lambda args, phi, f: _value_text(orlicz.orlicz_norm(phi, f, rtol=args.tol))),
+    "en": (("n",), lambda args, phi, f: _value_text(approx.best_approx(f, phi, args.n, rtol=args.tol))),
+    "omega": (("delta",), lambda args, phi, f: _value_text(fracdiff.modulus(
+        f, phi, args.alpha, args.delta, grid=args.grid, rtol=args.tol))),
+    # the KEstimate fields, in order
+    "kfunc": (("delta",), lambda args, phi, f: verify.format_json(asdict(kfunc.k_functional(
+        f, phi, args.alpha, args.delta, args.n, rtol=args.tol))) + "\n"),
 }
 
 
@@ -142,16 +145,10 @@ def _dispatch(parser, args) -> int:
     if not 0.0 <= getattr(args, "tol", 0.0) < 1.0:  # negative, NaN, infinite or >= 1 brackets nothing
         parser.error(f"--tol must be a number in [0, 1), got {args.tol}")
     if cmd in _SCALAR:
-        required, value = _SCALAR[cmd]
+        required, text = _SCALAR[cmd]
         _require(parser, args, *required)
         phi = _load_gauge(parser, args)
-        _emit_value(args.output, value(args, phi, _load_input(parser, args)))
-    elif cmd == "kfunc":
-        _require(parser, args, "delta")
-        phi = _load_gauge(parser, args)
-        f = _load_input(parser, args)
-        est = kfunc.k_functional(f, phi, args.alpha, args.delta, args.n, rtol=args.tol)
-        _emit(args.output, verify.format_json(asdict(est)) + "\n")  # the KEstimate fields, in order
+        _emit(args.output, text(args, phi, _load_input(parser, args)))
     elif cmd == "kernel":
         _require(parser, args, "n", "r")
         if not args.r.is_integer():
@@ -168,7 +165,7 @@ def _dispatch(parser, args) -> int:
         if args.output:
             # coefficients go to the file; the residual norm goes to stdout
             phi = _load_gauge(parser, args)
-            _emit_value(None, orlicz.luxemburg_norm(phi, f - sig, rtol=args.tol))
+            sys.stdout.write(_value_text(orlicz.luxemburg_norm(phi, f - sig, rtol=args.tol)))
     elif cmd == "verify":
         report = _run_verify(parser, args)
         text = report.to_json() if args.format == "json" else report.to_csv()

@@ -124,6 +124,8 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
         raise ValueError("need at least two grid points")
     if alpha == 0:
         return np.full(deltas.size, luxemburg_norm(phi, f, rtol=rtol))
+    if alpha > 1022 and deltas.size > 1:  # the row scale below depends on delta
+        return np.concatenate([_moduli(f, phi, alpha, [x], grid, rtol) for x in deltas])
     ks, cs = f.as_arrays()
     # A row entry |2 sin(hk/2)|**alpha |c_k| <= 2**alpha max|c| overflows near the top of the double range,
     # where the modulus can still be finite.  There the rows are built from |c_k| / 2**e, which keeps them
@@ -131,9 +133,19 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     head = max(1022 - math.ceil(alpha), 0)
     e = max(int(np.frexp(np.abs(cs).max(initial=0.0))[1]) - head, 0)
     absc = np.ldexp(np.abs(cs), -e)
+    # Above alpha = 1022 the power itself can overflow, whatever |c_k| is.  Then every sine term is also
+    # scaled by 2**(-d / alpha), so that the largest one met at a shift in [0, delta] stays below 2**1022,
+    # and 2**d joins 2**e.  Up to alpha = 1022, d = 0 and the scale is exactly 2.  Past d = 2200 the modulus
+    # is beyond the double range: at its peak shift the max|k| term exceeds 2**(d + 1021 - 1074), and a norm
+    # is at least its largest term over M^-1(1) < 2**1024.
+    top = 2.0 * math.sin(min(deltas.max() * f.max_freq / 2.0, math.pi / 2.0))
+    d = max(math.ceil(alpha * math.log2(max(top, 1.0))) - 1022, 0)
+    if d > 2200:
+        return np.full(deltas.size, np.inf)
+    scale = 2.0 * 2.0 ** (-d / alpha)
 
     def norms(hs):
-        return np.concatenate([_lux_rows(_shift_rows(hs[s], ks, absc, alpha), phi, rtol=rtol)
+        return np.concatenate([_lux_rows(_shift_rows(hs[s], ks, absc, alpha, scale), phi, rtol=rtol)
                                for s in _blocks(hs.size, ks.size)])
 
     hs = np.linspace(0.0, deltas, grid, axis=1)
@@ -149,15 +161,15 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     stop = np.where(best > 0.0, math.sqrt(rtol) / (2.0 * max(f.max_freq, 1)), np.inf)
     peak = np.fmax(best, _zoom(lambda _, hs: norms(hs), c, w, gc, stop)[1])
     with np.errstate(over="ignore"):  # a modulus beyond the double range is inf
-        return np.ldexp(peak, e)
+        return np.ldexp(peak, e + d)
 
 
-def _shift_rows(hs, ks, absc, alpha):
-    """Rows |2 sin(h k / 2)|**alpha |c_k|, one per shift h, built in a single array."""
+def _shift_rows(hs, ks, absc, alpha, scale=2.0):
+    """Rows |scale sin(h k / 2)|**alpha |c_k|, one per shift h, built in a single array."""
     out = np.outer(hs, ks)
     out *= 0.5
     np.abs(np.sin(out, out=out), out=out)
-    out *= 2.0
+    out *= scale
     out **= alpha
     out *= absc
     return out

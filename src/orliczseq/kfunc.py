@@ -17,7 +17,7 @@ import numpy as np
 from ._search import _zoom
 from .fracdiff import frac_difference
 from .orlicz import _gauge_inverse, _lux_rows, _window_norms, luxemburg_norm
-from .spectrum import CoeffSeq, PsiWeights, psi_derivative
+from .spectrum import CoeffSeq, PsiWeights, _check_band, psi_derivative
 
 __all__ = ["KEstimate", "k_functional", "difference_derivative_bracket"]
 
@@ -131,10 +131,7 @@ def difference_derivative_bracket(tau: CoeffSeq, phi, alpha: float, n: int, h: f
     """
     if not alpha > 0:
         raise ValueError("order must be positive")
-    if n < 1:
-        raise ValueError("band must contain at least k = 1")
-    if tau.max_freq > n:
-        raise ValueError(f"polynomial has support beyond |k| = {n}")
+    _check_band(tau, n)
     if not 0.0 <= h <= 2.0 * math.pi / n:
         raise ValueError("shift must lie in [0, 2*pi/n]")
     dnorm = luxemburg_norm(phi, psi_derivative(tau, PsiWeights.fractional(alpha)), rtol=rtol)

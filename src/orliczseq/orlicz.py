@@ -228,8 +228,6 @@ def conjugate(phi: OrliczFunction, v: float, *, rtol: float = 1e-12) -> float:
     v = float(v)
     if v < 0:
         raise ValueError("conjugate argument must be nonnegative")
-    if v == 0.0:
-        return 0.0
     if phi.closed_form_conjugate is not None:
         return float(phi.closed_form_conjugate(v))
     if float(phi.right_derivative(0.0)) >= v:

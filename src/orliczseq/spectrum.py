@@ -33,6 +33,14 @@ def _as_int(x, need="frequency must be an integer"):
     raise ValueError(f"{need}, got {x!r}")
 
 
+def _check_band(tau, n):
+    """ValueError unless n >= 1 and tau has no frequency beyond |k| = n."""
+    if n < 1:
+        raise ValueError("band must contain at least k = 1")
+    if tau.max_freq > n:
+        raise ValueError(f"polynomial has support beyond |k| = {n}")
+
+
 class CoeffSeq:
     """Finitely supported map from integer frequency to complex amplitude.
 
@@ -124,7 +132,8 @@ class CoeffSeq:
     def __sub__(self, other):
         if not isinstance(other, CoeffSeq):
             return NotImplemented
-        return self + (-other)
+        return CoeffSeq.from_arrays(np.concatenate([self._ks, other._ks]),
+                                    np.concatenate([self._cs, -other._cs]))
 
     def __neg__(self):
         return CoeffSeq.from_arrays(self._ks, -self._cs)
@@ -294,14 +303,10 @@ def write_coeffs(f: CoeffSeq, dest) -> None:
 
 def read_coeffs(source) -> CoeffSeq:
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return _read_lines(fh, str(source))
-    return _read_lines(source, getattr(source, "name", "<stream>"))
-
-
-def _read_lines(fh, name):
-    pairs = []
-    for lineno, line in enumerate(fh, 1):
+        with open(source, "r", encoding="utf-8") as fh:  # fh.name is the path as a string
+            return read_coeffs(fh)
+    name, pairs = getattr(source, "name", "<stream>"), []
+    for lineno, line in enumerate(source, 1):
         line = line.strip()
         if not line:
             continue

@@ -443,7 +443,6 @@ def rates_report(beta: float, alpha: float, phi: OrliczFunction, band: int = 409
         report.add(f"t={t:.6g}", w, t ** min(alpha, beta), w / t ** min(alpha, beta), True)
 
     if not quadratic:
-        report.empirical_constant = 0.0
         return report.finalize()
 
     if beta != alpha:
@@ -473,18 +472,20 @@ def rates_report(beta: float, alpha: float, phi: OrliczFunction, band: int = 409
 _PROBES = [(f"harmonic k={k}", CoeffSeq({k: 1.0})) for k in (1, 3, 16, 64)]
 
 
-def _sweep(name, params, family, num_funcs, seed, suffixes, ok, rows):
+def _sweep(name, params, suffixes, ok, rows):
     """Build a sweep's report: the rows of every member, none skipped, then the stabilization row.
 
-    rows(f) returns one member's lhs and rhs values, aligned with suffixes and each solved as one
-    batch; the row's ratio is lhs / rhs in IEEE arithmetic, so a zero rhs gives inf or nan, and
-    ok(ratio) is its verdict.  Every probe and draw has a nonzero frequency.  The tolerance 0.05
-    is the stabilization bound: the last quarter may lift the running sup by under 5%.  Sets the
+    The members are the probes, then params["num_funcs"] draws of params["family"] at
+    params["seed"].  rows(f) returns one member's lhs and rhs values, aligned with suffixes and each
+    solved as one batch; the row's ratio is lhs / rhs in IEEE arithmetic, so a zero rhs gives inf or
+    nan, and ok(ratio) is its verdict.  Every probe and draw has a nonzero frequency.  The tolerance
+    0.05 is the stabilization bound: the last quarter may lift the running sup by under 5%.  Sets the
     empirical constant to the running sup and returns (report, ratios), for the caller to finalize.
     """
     report = Report(name=name, params=params, tolerance=0.05)
-    gen, rng = generator(family), np.random.default_rng(seed)
-    members = _PROBES + [(f"{family}[{i}]", gen(rng)) for i in range(num_funcs)]
+    family = params["family"]
+    gen, rng = generator(family), np.random.default_rng(params["seed"])
+    members = _PROBES + [(f"{family}[{i}]", gen(rng)) for i in range(params["num_funcs"])]
     ratios = []
     for label, f in members:
         for suffix, lhs, rhs in zip(suffixes, *rows(f)):
@@ -510,7 +511,7 @@ def direct_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int 
               "n_max": int(n_max), "num_funcs": int(num_funcs), "seed": int(seed),
               "grid": int(grid), "search": "uniform-grid+batched-zoom"}
     ns = np.array(_log_orders(n_max, 10))
-    return _sweep("direct", params, family, num_funcs, seed, [f"n={n}" for n in ns], math.isfinite,
+    return _sweep("direct", params, [f"n={n}" for n in ns], math.isfinite,
                   lambda f: (_window_norms(f, phi, ns, np.inf, rtol),
                              _moduli(f, phi, alpha, 1.0 / ns, grid, rtol)))[0].finalize()
 
@@ -532,8 +533,7 @@ def inverse_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int
             rhs = np.cumsum(nu ** (alpha - 1.0) * _window_norms(f, phi, nu, np.inf, rtol)) / nu ** alpha
         return _moduli(f, phi, alpha, 1.0 / ns, grid, rtol), rhs[ns - 1]
 
-    return _sweep("inverse", params, family, num_funcs, seed, [f"n={n}" for n in ns], math.isfinite,
-                  rows)[0].finalize()
+    return _sweep("inverse", params, [f"n={n}" for n in ns], math.isfinite, rows)[0].finalize()
 
 
 def equivalence_report(family: str, alpha: float, phi: OrliczFunction, *, deltas=None,
@@ -552,8 +552,8 @@ def equivalence_report(family: str, alpha: float, phi: OrliczFunction, *, deltas
     params = {"family": family, "alpha": float(alpha), "orlicz": phi.spec_dict(),
               "num_funcs": int(num_funcs), "seed": int(seed), "grid": int(grid),
               "polish": bool(polish), "deltas": [float(d) for d in deltas]}
-    report, ratios = _sweep("equivalence", params, family, num_funcs, seed,
-                            [f"delta={float(d):.6g}" for d in deltas], lambda r: 0.0 < r < math.inf,
+    report, ratios = _sweep("equivalence", params, [f"delta={float(d):.6g}" for d in deltas],
+                            lambda r: 0.0 < r < math.inf,
                             lambda f: ([k.value for k in
                                         _k_functionals(f, phi, alpha, deltas, None, polish, rtol)],
                                        _moduli(f, phi, alpha, deltas, grid, rtol)))

@@ -16,6 +16,7 @@ from orliczseq.approx import (
     residual_multipliers,
 )
 from orliczseq.fracdiff import modulus
+from orliczseq.kfunc import difference_derivative_bracket
 from orliczseq.orlicz import exp_minus_one, luxemburg_norm, power, power_log
 from orliczseq.spectrum import CoeffSeq, PsiWeights, evaluate, tail
 
@@ -318,3 +319,14 @@ def test_kernel_beyond_2_53_stays_within_rounding_of_the_integer_convolution():
     got = [round(c / spec.b_p) for c in kern.as_arrays()[1].real.tolist()]
     assert len(got) == ref.size
     assert max(abs(g - r) / r for g, r in zip(got, ref.tolist())) <= 1e-15
+
+
+@pytest.mark.parametrize("check", [
+    lambda tau, n: psi_bernstein_ratio(tau, P2, PsiWeights.fractional(1.0), n),
+    lambda tau, n: difference_derivative_bracket(tau, P2, 1.0, n, 0.1),
+], ids=["bernstein", "difference-derivative"])
+def test_band_checks_reject_an_empty_band_and_support_beyond_it(check):
+    with pytest.raises(ValueError, match="at least k = 1"):
+        check(CoeffSeq({0: 1.0}), 0)
+    with pytest.raises(ValueError, match=r"beyond \|k\| = 3"):
+        check(CoeffSeq({1: 1.0, -4: 0.5}), 3)

@@ -268,3 +268,21 @@ def test_omega_beyond_the_double_range_prints_inf_without_a_warning(coeff_file):
     path = coeff_file("big.jsonl", {1: 1e308})
     proc = _cli_subprocess("omega", "--alpha", "1", "--delta", "3", "--orlicz", P2, "--input", path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "inf\n", "")
+
+
+def test_kfunc_output_goes_to_the_file_and_nothing_to_stdout(coeff_file, tmp_path, capsys):
+    path = coeff_file("h.jsonl", {1: 1.0, -3: 0.5})
+    argv = ["kfunc", "--alpha", "1", "--delta", "0.25", "--input", path]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "k.json"
+    assert run(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed and set(json.loads(printed)) >= {"value"}
+
+
+def test_omega_at_an_order_beyond_1024_prints_inf_without_a_warning(coeff_file):
+    # the modulus, above 1e330, is beyond the double range, but no shift row overflows on the way
+    path = coeff_file("two.jsonl", {1: 1.0, 3: 0.5})
+    proc = _cli_subprocess("omega", "--alpha", "1100", "--delta", "3", "--input", path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "inf\n", "")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -362,3 +363,28 @@ def test_modulus_scales_exactly_by_powers_of_two(phi, f):
     for alpha, delta in ((0.5, 0.1), (1.0, 1.0), (2.0, 3.0)):
         got = modulus(2.0 ** 600 * f, phi, alpha, delta, grid=32)
         assert got == 2.0 ** 600 * modulus(f, phi, alpha, delta, grid=32)
+
+
+@pytest.mark.parametrize("c, alpha, delta", [(1e-300, 1025.0, 3.14159), (1e-300, 1100.0, 3.14159),
+                                             (1e-300, 2000.0, 3.14159), (1.0, 2000.0, 1.0)])
+def test_modulus_at_orders_beyond_1024_matches_the_single_harmonic_closed_form(c, alpha, delta):
+    # 2**alpha passes the double range, the modulus 2**alpha |sin(delta / 2)|**alpha c does not; at
+    # delta = 1 every sine term stays below 1, so the rows need no scaling
+    want = 10.0 ** (alpha * math.log10(2.0 * abs(math.sin(delta / 2.0))) + math.log10(c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = modulus(CoeffSeq({1: c}), P2, alpha, delta)
+    assert got == pytest.approx(want, rel=1e-11)
+
+
+def test_large_order_moduli_take_each_delta_alone_and_are_inf_far_past_the_range():
+    f = CoeffSeq({1: 1.0, 3: 0.5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # |2 sin(h / 2)|**2000 passes the range near delta = 3, but stays below 1 up to delta = 1
+        batch = fracdiff._moduli(CoeffSeq({1: 1.0}), P2, 2000.0, [1.0, 3.0], 128, 1e-12)
+        assert batch.tolist() == [modulus(CoeffSeq({1: 1.0}), P2, 2000.0, d, grid=128) for d in (1.0, 3.0)]
+        assert 0.0 < batch[0] < math.inf and batch[1] == math.inf
+        # far beyond 2**1024 the max|k| term alone passes the range; a constant has modulus 0
+        assert modulus(f, P2, 1e9, 3.0) == modulus(f, P2, 1e300, 0.5) == math.inf
+        assert modulus(CoeffSeq({0: 1.0}), P2, 1e9, 3.0) == 0.0

@@ -500,3 +500,10 @@ def test_a_row_whose_gauge_sum_underflows_at_the_midpoint_raises_no_floating_poi
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         got = orlicz._lux_rows(np.ones((1, 8193)), power(100))
     assert got[0] == pytest.approx(8193 ** (1 / 100), rel=1e-12)
+
+
+def test_conjugate_at_zero_is_exactly_zero_on_the_numeric_route():
+    for phi in (dataclasses.replace(power(1), closed_form_conjugate=None),
+                dataclasses.replace(power(2), closed_form_conjugate=None), power_log(2)):
+        got = conjugate(phi, 0.0)
+        assert got == 0.0 and not math.copysign(1.0, got) < 0

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,3 +260,46 @@ def test_overflowing_sum_raises_value_error_without_a_numpy_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             CoeffSeq([(1, 1e308), (1, 1e308)])
+
+
+@pytest.mark.parametrize("as_path", [str, Path], ids=["str", "Path"])
+def test_jsonl_reader_names_the_file_path_in_errors(tmp_path, as_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"k": 0, "re": 1.0, "im": 0.0}\nnot json\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="invalid JSON") as err:
+        read_coeffs(as_path(path))
+    assert str(err.value).startswith(f"{path}:2:")
+
+
+_SIGNED_ZERO_PAIRS = [
+    ({1: 1 + 1j, 2: complex(0.0, 2.5)}, {1: complex(1.0, -0.0), 2: complex(-0.0, 1.0)}),
+    ({1: complex(2.5, -0.0), 3: 1e-300}, {1: 2.5, 2: complex(-0.0, -1.0), 3: complex(1e-300, -0.0)}),
+    ({-5: complex(-0.0, -0.0), 0: -1.0}, {-5: complex(0.0, 1e308), 0: complex(-1.0, -0.0), 4: -1e308}),
+    ({}, {2: complex(-0.0, 1.0), 5: complex(-1.0, 0.0)}),
+]
+
+
+@pytest.mark.parametrize("a, b", _SIGNED_ZERO_PAIRS)
+def test_difference_matches_adding_the_negation_bit_for_bit(a, b):
+    f, g = CoeffSeq(a), CoeffSeq(b)
+    for got, want in ((f - g, f + (-g)), (g - f, g + (-f))):
+        (gk, gc), (wk, wc) = got.as_arrays(), want.as_arrays()
+        assert np.array_equal(gk, wk)
+        assert np.array_equal(gc.view(np.float64), wc.view(np.float64))
+        assert np.array_equal(np.signbit(gc.view(np.float64)), np.signbit(wc.view(np.float64)))
+
+
+def test_difference_canonicalises_once(monkeypatch):
+    f, g = CoeffSeq({1: 1.0, 2: 2.0}), CoeffSeq({2: 2.0, 3: -1.0})
+    calls = []
+    canonicalise = CoeffSeq._canonicalise
+
+    def spy(self, keys, values):
+        calls.append(len(keys))
+        return canonicalise(self, keys, values)
+
+    monkeypatch.setattr(CoeffSeq, "_canonicalise", spy)
+    assert f - g == CoeffSeq.from_arrays(np.array([1, 3]), np.array([1.0, 1.0]))
+    assert calls == [4, 2]  # f - g itself, then the expected value
+    with pytest.raises(ValueError, match="finite"):
+        CoeffSeq({1: 1e308}) - CoeffSeq({1: -1e308})

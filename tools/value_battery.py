@@ -9,7 +9,9 @@ Recorded values, keyed ``kind|gauge|sequence|...``:
 
 * ``lux``, ``dual``, ``en``: the Luxemburg norm, the dual norm and E_n at n = 1 + max|k| // 4;
   ``lux`` and ``dual`` also for three near-limit sequences whose sum of |c_k| overflows;
-* ``modulus``: at alpha in {0.5, 1, 2} and delta in {0.01, 0.1, 0.5, 1, 3}, grid 128;
+* ``modulus``: at alpha in {0.5, 1, 2} and delta in {0.01, 0.1, 0.5, 1, 3}, grid 128, and at
+  orders above 1024, where a shift-row power 2**alpha overflows: ``{1: 1e-300}`` at alpha in
+  {1025, 1100, 2000}, delta = 3.14159, and ``{1: 1, 3: 0.5}`` at alpha = 1100, delta = 3;
 * ``k``, ``kdeg``: the K-functional value and minimizer_degree at alpha = 1, delta in {0.02, 0.3},
   polished and not, for sequences of band at most 128;
 * ``binom``: binom(alpha, j) for 0 <= j <= alpha < 40 and a few fractional alpha;
@@ -73,6 +75,10 @@ def near_limit():
             "2**1022*{1:3,5:1,9:0.5}": 2.0 ** 1022 * CoeffSeq({1: 3, 5: 1, 9: 0.5})}
 
 
+# (sequence, alpha, delta) for the large-order moduli
+LARGE_ORDERS = [({1: 1e-300}, a, 3.14159) for a in (1025.0, 1100.0, 2000.0)] + [({1: 1, 3: 0.5}, 1100.0, 3.0)]
+
+
 def _cli_runs(seqs):
     """stdout of CLI invocations on a few coefficient files, keyed by the command line."""
     exp, plog = '{"family":"exp_minus_one"}', '{"family":"power_log","p":2}'
@@ -131,6 +137,10 @@ def battery():
         for sname, f in near_limit().items():
             out[f"lux|{gname}|{sname}"] = orlicz.luxemburg_norm(phi, f)
             out[f"dual|{gname}|{sname}"] = orlicz.orlicz_norm(phi, f)
+        for spec, a, d in LARGE_ORDERS:
+            sname = json.dumps(spec).replace(" ", "")
+            out[f"modulus|{gname}|{sname}|alpha={a}|delta={d}"] = fracdiff.modulus(CoeffSeq(spec), phi, a, d,
+                                                                                 grid=128)
     for a in [float(a) for a in range(40)] + [0.5, 1.5, 2.7, 11.5, 39.3]:
         for j in range(int(a) + 2 if a.is_integer() else 41):
             out[f"binom|alpha={a}|j={j}"] = fracdiff.binom(a, j)
