@@ -70,14 +70,17 @@ class CoeffSeq:
         ks, cs = ks.astype(np.int64), np.asarray(values, dtype=np.complex128)
         if ks.ndim != 1 or ks.shape != cs.shape:
             raise ValueError("frequencies and amplitudes must be aligned 1-d sequences")
-        ks, pos = np.unique(ks, return_inverse=True)
-        acc = np.zeros(ks.size, dtype=np.complex128)
+        # The distinct frequencies are the run starts of the sorted ks, and a binary search finds each
+        # entry's slot, so the entries sum onto their slots in input order.
+        s = np.sort(ks)
+        s = s[np.concatenate(([True], s[1:] != s[:-1]))[:s.size]]
+        acc = np.zeros(s.size, dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects the result
-            np.add.at(acc, pos, cs)
+            np.add.at(acc, np.searchsorted(s, ks), cs)
             if not np.isfinite(np.abs(acc)).all():  # |c| overflows for parts near the double limit
                 raise ValueError("coefficients must be finite")
         keep = acc != 0
-        ks, cs = ks[keep], acc[keep]
+        ks, cs = s[keep], acc[keep]
         ks.flags.writeable = cs.flags.writeable = False
         object.__setattr__(self, "_ks", ks)
         object.__setattr__(self, "_cs", cs)
@@ -297,8 +300,8 @@ def write_coeffs(f: CoeffSeq, dest) -> None:
         with open(dest, "w", encoding="utf-8") as fh:
             write_coeffs(f, fh)
         return
-    for k, c in f.items():
-        dest.write(json.dumps({"k": k, "re": c.real, "im": c.imag}) + "\n")
+    # json formats a finite float or an int by its repr, so these are the json.dumps lines
+    dest.write("".join(f'{{"k": {k!r}, "re": {c.real!r}, "im": {c.imag!r}}}\n' for k, c in f.items()))
 
 
 def read_coeffs(source) -> CoeffSeq:

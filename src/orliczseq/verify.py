@@ -476,19 +476,20 @@ def _sweep(name, params, suffixes, ok, rows):
     """Build a sweep's report: the rows of every member, none skipped, then the stabilization row.
 
     The members are the probes, then params["num_funcs"] draws of params["family"] at
-    params["seed"].  rows(f) returns one member's lhs and rhs values, aligned with suffixes and each
-    solved as one batch; the row's ratio is lhs / rhs in IEEE arithmetic, so a zero rhs gives inf or
-    nan, and ok(ratio) is its verdict.  Every probe and draw has a nonzero frequency.  The tolerance
-    0.05 is the stabilization bound: the last quarter may lift the running sup by under 5%.  Sets the
-    empirical constant to the running sup and returns (report, ratios), for the caller to finalize.
+    params["seed"].  rows(fs) gets every member at once and returns their lhs and rhs values, one row
+    per member aligned with suffixes; the sample's ratio is lhs / rhs in IEEE arithmetic, so a zero
+    rhs gives inf or nan, and ok(ratio) is its verdict.  Every probe and draw has a nonzero
+    frequency.  The tolerance 0.05 is the stabilization bound: the last quarter may lift the running
+    sup by under 5%.  Sets the empirical constant to the running sup and returns (report, ratios),
+    for the caller to finalize.
     """
     report = Report(name=name, params=params, tolerance=0.05)
     family = params["family"]
     gen, rng = generator(family), np.random.default_rng(params["seed"])
     members = _PROBES + [(f"{family}[{i}]", gen(rng)) for i in range(params["num_funcs"])]
     ratios = []
-    for label, f in members:
-        for suffix, lhs, rhs in zip(suffixes, *rows(f)):
+    for (label, _), *row in zip(members, *rows([f for _, f in members])):
+        for suffix, lhs, rhs in zip(suffixes, *row):
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios.append(float(np.float64(lhs) / rhs))
             report.add(f"{label} {suffix}", lhs, rhs, ratios[-1], ok(ratios[-1]))
@@ -512,8 +513,8 @@ def direct_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int 
               "grid": int(grid), "search": "uniform-grid+batched-zoom"}
     ns = np.array(_log_orders(n_max, 10))
     return _sweep("direct", params, [f"n={n}" for n in ns], math.isfinite,
-                  lambda f: (_window_norms(f, phi, ns, np.inf, rtol),
-                             _moduli(f, phi, alpha, 1.0 / ns, grid, rtol)))[0].finalize()
+                  lambda fs: ([_window_norms(f, phi, ns, np.inf, rtol) for f in fs],
+                              _moduli(fs, phi, alpha, 1.0 / ns, grid, rtol)))[0].finalize()
 
 
 def inverse_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int = 128,
@@ -528,12 +529,14 @@ def inverse_report(family: str, alpha: float, phi: OrliczFunction, *, n_max: int
     ns = np.array(_log_orders(n_max, 10))
     nu = np.arange(1, n_max + 1, dtype=float)
 
-    def rows(f):
+    def rhs(f):
         with np.errstate(over="ignore", invalid="ignore"):  # overflow at a large alpha fails the row
             rhs = np.cumsum(nu ** (alpha - 1.0) * _window_norms(f, phi, nu, np.inf, rtol)) / nu ** alpha
-        return _moduli(f, phi, alpha, 1.0 / ns, grid, rtol), rhs[ns - 1]
+        return rhs[ns - 1]
 
-    return _sweep("inverse", params, [f"n={n}" for n in ns], math.isfinite, rows)[0].finalize()
+    return _sweep("inverse", params, [f"n={n}" for n in ns], math.isfinite,
+                  lambda fs: (_moduli(fs, phi, alpha, 1.0 / ns, grid, rtol),
+                              [rhs(f) for f in fs]))[0].finalize()
 
 
 def equivalence_report(family: str, alpha: float, phi: OrliczFunction, *, deltas=None,
@@ -554,9 +557,10 @@ def equivalence_report(family: str, alpha: float, phi: OrliczFunction, *, deltas
               "polish": bool(polish), "deltas": [float(d) for d in deltas]}
     report, ratios = _sweep("equivalence", params, [f"delta={float(d):.6g}" for d in deltas],
                             lambda r: 0.0 < r < math.inf,
-                            lambda f: ([k.value for k in
-                                        _k_functionals(f, phi, alpha, deltas, None, polish, rtol)],
-                                       _moduli(f, phi, alpha, deltas, grid, rtol)))
+                            lambda fs: ([[k.value for k in
+                                          _k_functionals(f, phi, alpha, deltas, None, polish, rtol)]
+                                         for f in fs],
+                                        _moduli(fs, phi, alpha, deltas, grid, rtol)))
     c1 = min(ratios) if ratios else 0.0
     c2 = max(ratios) if ratios else 0.0
     report.add("lower-envelope", c1, 0.0, c1, c1 > 0.0)

@@ -388,3 +388,28 @@ def test_large_order_moduli_take_each_delta_alone_and_are_inf_far_past_the_range
         # far beyond 2**1024 the max|k| term alone passes the range; a constant has modulus 0
         assert modulus(f, P2, 1e9, 3.0) == modulus(f, P2, 1e300, 0.5) == math.inf
         assert modulus(CoeffSeq({0: 1.0}), P2, 1e9, 3.0) == 0.0
+
+
+def _batched_members():
+    rng = np.random.default_rng(60)
+    lacunary = np.concatenate([2 ** np.arange(7), -(2 ** np.arange(7))])
+    poly = np.concatenate([np.arange(1, 65), -np.arange(1, 65)])
+    return [CoeffSeq({5: 1.0}), CoeffSeq({0: 1.0}),
+            CoeffSeq.from_arrays(lacunary, rng.standard_normal(14) + 1j * rng.standard_normal(14)),
+            CoeffSeq.from_arrays(poly, np.abs(poly) ** -1.3 * np.exp(2j * np.pi * rng.uniform(size=128))),
+            2.0 ** 1000 * _band(4, 1)]
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+def test_batched_moduli_match_the_single_member_moduli(phi):
+    # the two 1-entry members share rows of width 1; the 9-entry one, whose rows are scaled by 2**-e at
+    # alpha = 30, is padded with k = 0, c = 0 entries to the 14 of the lacunary one
+    members, deltas = _batched_members(), [0.01, 0.1, 0.7, 3.0]
+    for alpha in (0.0, 0.5, 1.0, 2.0, 30.0, 1100.0):
+        batch = fracdiff._moduli(members, phi, alpha, deltas, 64, 1e-12)
+        assert batch.shape == (len(members), len(deltas))
+        for f, got in zip(members, batch):
+            want = fracdiff._moduli(f, phi, alpha, deltas, 64, 1e-12)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        if alpha > 0:
+            assert not batch[1].any()  # a constant has modulus 0

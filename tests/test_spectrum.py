@@ -155,6 +155,16 @@ def test_jsonl_round_trip_sorted_ascending():
     assert read_coeffs(io.StringIO(buf.getvalue())) == f
 
 
+def test_written_lines_are_the_bytes_of_json_dumps_per_entry():
+    f = CoeffSeq([(2**63 - 1, complex(-0.0, 5e-324)), (-7, complex(1.7976931348623157e308, -0.0)),
+                  (0, complex(-5e-324, -1.7976931348623157e308)), (-(2**63 - 1), complex(0.1, 1e-300))])
+    buf = io.StringIO()
+    write_coeffs(f, buf)
+    assert buf.getvalue() == "".join(json.dumps({"k": k, "re": c.real, "im": c.imag}) + "\n"
+                                     for k, c in f.items())
+    assert len(buf.getvalue().splitlines()) == 4
+
+
 def test_jsonl_reader_drops_exact_zeros():
     src = io.StringIO('{"k": 1, "re": 0.0, "im": 0.0}\n{"k": 2, "re": 1.0, "im": 0.0}\n')
     assert read_coeffs(src).support == (2,)

@@ -292,6 +292,24 @@ def test_sweeps_solve_each_member_in_few_batches(monkeypatch, sweep, kwargs, bou
     assert len(calls) <= bound * members
 
 
+def test_sweep_modulus_solves_do_not_grow_with_the_number_of_members(monkeypatch):
+    # all members share one grid and one zoom: a step makes one call per support-size class
+    calls = []
+    solve = fracdiff._lux_rows
+
+    def counted(vals, phi, **kw):
+        calls.append(len(vals))
+        return solve(vals, phi, **kw)
+
+    monkeypatch.setattr(fracdiff, "_lux_rows", counted)
+    counts = []
+    for num_funcs in (2, 16):
+        calls.clear()
+        direct_report("lacunary", 1.0, P2, n_max=128, num_funcs=num_funcs, grid=64)
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
+
+
 def test_every_swept_member_has_a_nonzero_frequency():
     from orliczseq.verify import _PROBES
 
