@@ -6,7 +6,9 @@ diagonally on these coefficients, so this representation is exact; truncation
 only enters when a signal is ingested from samples.
 """
 
+import itertools
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -293,9 +295,16 @@ def max_abs_diff(f: CoeffSeq, g: CoeffSeq) -> float:
 # finite values, and drops exact zeros.
 
 _LINE_KEYS = {"k", "re", "im"}
+_LINE_VALUES = operator.itemgetter("k", "re", "im")
+_BLOCK = 256  # non-blank lines parsed by one json.loads
 
 
 def write_coeffs(f: CoeffSeq, dest) -> None:
+    """Write f to dest (a path, or an open text file) as JSON lines in ascending k.
+
+    Each line is ``json.dumps({"k": k, "re": c.real, "im": c.imag})`` of one entry of the
+    support, so ``read_coeffs`` gives f back.
+    """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8") as fh:
             write_coeffs(f, fh)
@@ -305,14 +314,69 @@ def write_coeffs(f: CoeffSeq, dest) -> None:
 
 
 def read_coeffs(source) -> CoeffSeq:
+    """The sequence in a JSON-lines coefficient file (a path, or an open text file).
+
+    Every non-blank line holds one JSON object with exactly the keys k, re and im: an integer
+    k below 2**63 in magnitude and numbers re and im, finite and with |re + i im| within the
+    double range.  k strictly ascends from line to line.  Blank and whitespace-only lines are
+    skipped, and exact zeros are dropped.  The first line that breaks this raises
+    ``ValueError("<name>:<line>: ...")``, where name is the path, ``source.name`` or
+    ``<stream>``.
+
+    Each block of lines is parsed by one ``json.loads``.  A block whose joined text might not
+    split into one object per line, or that holds a bad line, is parsed again line by line,
+    which names the first bad line.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:  # fh.name is the path as a string
             return read_coeffs(fh)
-    name, pairs = getattr(source, "name", "<stream>"), []
-    for lineno, line in enumerate(source, 1):
-        line = line.strip()
-        if not line:
-            continue
+    name = getattr(source, "name", "<stream>")
+    numbered = ((lineno, line) for lineno, line in enumerate(map(str.strip, source), 1) if line)
+    ks, cs, prev = [np.empty(0, np.int64)], [np.empty(0, np.complex128)], -2**63  # prev: below every k
+    while block := list(itertools.islice(numbered, _BLOCK)):
+        k, c = _block_arrays(block, prev) or _line_arrays(name, block, prev)
+        ks.append(k)
+        cs.append(c)
+        prev = int(k[-1])
+    return CoeffSeq.from_arrays(np.concatenate(ks), np.concatenate(cs))
+
+
+def _block_arrays(block, prev):
+    """(ks, cs) of a block of (line number, stripped line) pairs from one json.loads, or None.
+
+    None unless every line starts with { and ends with } and the block holds no other brace,
+    the joined parse gives one dict per line, and every line keeps the file contract, its k
+    above prev.  n dicts need n braces, so then each dict is exactly one line's text, as a
+    parse of that line alone would give it.
+    """
+    texts = [line for _, line in block]
+    joined, n = ",".join(texts), len(texts)
+    if not (all(t[0] == "{" and t[-1] == "}" for t in texts) and joined.count("{") == n == joined.count("}")):
+        return None
+    try:
+        objs = json.loads(f"[{joined}]")
+        k, re, im = zip(*map(_LINE_VALUES, objs))  # KeyError for a missing key, TypeError for a non-dict
+    except (json.JSONDecodeError, KeyError, TypeError):
+        return None
+    if (len(objs) != n or set(map(len, objs)) != {3} or set(map(type, k)) != {int}
+            or not set(map(type, re + im)) <= {int, float}):
+        return None
+    ks, cs = np.empty(n, np.int64), np.empty(n, np.complex128)
+    try:
+        ks[:], cs.real, cs.imag = k, re, im
+    except OverflowError:  # an integer beyond the int64 or double range
+        return None
+    with np.errstate(over="ignore"):
+        inside = (np.abs(cs) < sys.float_info.max).all()  # also False for nan and inf
+    if not inside or ks[0] <= prev or (ks[1:] <= ks[:-1]).any():
+        return None
+    return ks, cs
+
+
+def _line_arrays(name, block, prev):
+    """(ks, cs) of a block parsed line by line; ValueError("<name>:<line>: ...") at its first bad line."""
+    ks, cs = [], []
+    for lineno, line in block:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -324,8 +388,14 @@ def read_coeffs(source) -> CoeffSeq:
             raise ValueError(f"{name}:{lineno}: k must be an integer below 2**63 in magnitude")
         if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in (re, im)):
             raise ValueError(f"{name}:{lineno}: re and im must be numbers and finite")
-        if pairs and k <= pairs[-1][0]:
-            kind = "duplicate" if k == pairs[-1][0] else "descending"
+        if k <= prev:
+            kind = "duplicate" if k == prev else "descending"
             raise ValueError(f"{name}:{lineno}: {kind} k={k}; k must strictly ascend")
-        pairs.append((k, complex(re, im)))
-    return CoeffSeq(pairs)
+        c = complex(re, im)
+        with np.errstate(over="ignore"):
+            if np.isinf(np.abs(np.complex128(c))):
+                raise ValueError(f"{name}:{lineno}: |re + i im| is beyond the double range")
+        prev = k
+        ks.append(k)
+        cs.append(c)
+    return np.array(ks, dtype=np.int64), np.array(cs, dtype=np.complex128)

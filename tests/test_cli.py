@@ -286,3 +286,13 @@ def test_omega_at_an_order_beyond_1024_prints_inf_without_a_warning(coeff_file):
     path = coeff_file("two.jsonl", {1: 1.0, 3: 0.5})
     proc = _cli_subprocess("omega", "--alpha", "1100", "--delta", "3", "--input", path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "inf\n", "")
+
+
+def test_norm_of_a_file_whose_magnitude_overflows_names_the_line(tmp_path):
+    path = tmp_path / "over.jsonl"
+    path.write_text('{"k": 1, "re": 1.0, "im": 0.0}\n{"k": 2, "re": 1.7e308, "im": 1.7e308}\n', encoding="utf-8")
+    proc = _cli_subprocess("norm", "--input", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == [f"orliczseq: error: {path}:2: |re + i im| is beyond the double range"]
+    assert "Warning" not in proc.stderr

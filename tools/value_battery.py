@@ -15,8 +15,9 @@ Recorded values, keyed ``kind|gauge|sequence|...``:
 * ``k``, ``kdeg``: the K-functional value and minimizer_degree at alpha = 1, delta in {0.02, 0.3},
   polished and not, for sequences of band at most 128;
 * ``binom``: binom(alpha, j) for 0 <= j <= alpha < 40 and a few fractional alpha;
-* ``cli``: the exit code and stdout of about 20 CLI invocations, run in-process in a temporary
-  directory with relative file names, so the bytes do not depend on a path.
+* ``cli``: the exit code and stdout of about 25 CLI invocations, run in-process in a temporary
+  directory with relative file names, so the bytes do not depend on a path; among the input files
+  are one with blank, whitespace-only and CRLF lines and one whose ``|re + i im|`` overflows.
 
 The comparison prints, per kind, the entry count on each side, the bit-identical count and the
 largest relative move (for ``cli``, over the numbers printed), then every differing integer entry,
@@ -97,6 +98,7 @@ def _cli_runs(seqs):
         "verify inverse --alpha 1 --n-max 32", "verify equiv --alpha 1",
         "verify classify --input c.jsonl --r 1 --alpha 2 --n-max 32",
         "verify rates --beta 1 --alpha 2 --band 256", "verify balpha --r 1 --alpha 2",
+        "norm --input d.jsonl", "omega --input d.jsonl --alpha 1 --delta 0.5", "norm --input e.jsonl",
     ]
     out, cwd = {}, os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,9 +107,14 @@ def _cli_runs(seqs):
             spectrum.write_coeffs(seqs["band16-s0"], "a.jsonl")
             spectrum.write_coeffs(seqs["band64-s1"], "b.jsonl")
             spectrum.write_coeffs(CoeffSeq({k: k ** -1.5 for k in range(1, 257)}), "c.jsonl")
+            # blank, whitespace-only and CRLF lines; then a line whose |re + i im| overflows (exit 2)
+            Path("d.jsonl").write_bytes(b'\r\n{"k": -2, "re": 0.5, "im": 0.25}\r\n  \r\n\t\n'
+                                        b'{"k": 1, "re": -1.0, "im": 0.0}\r\n\r\n{"k": 3, "re": 2, "im": -1}\r\n')
+            Path("e.jsonl").write_text('{"k": 1, "re": 1.0, "im": 0.0}\n{"k": 2, "re": 1.7e308, "im": 1.7e308}\n',
+                                       encoding="utf-8")
             for line in runs:
                 buf = io.StringIO()
-                with contextlib.redirect_stdout(buf):
+                with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
                     code = cli.run(re.findall(r"\{[^}]*\}|\S+", line))
                 out[f"cli|{line}"] = f"exit {code}\n{buf.getvalue()}"
         finally:
