@@ -20,23 +20,25 @@ def _bisect(above, lo, hi, rtol):
     """Bisection with safeguarded Newton steps onto the point where the nondecreasing test turns true.
 
     lo and hi are scalars or aligned arrays of brackets; above(x) returns a bool of the same shape,
-    or a pair (bool, guess).  Stops once every bracket has hi - lo <= rtol * hi and returns the
-    final (lo, hi), whose midpoint 0.5 lo + 0.5 hi cannot overflow.  A plain bool gets bisection.
-    A guess gets Brent's safeguard (zeroin), with h = rtol * hi / 2: one within h / 2 of the last
-    point x moves h across x to the open side, never twice in a row; any other is clipped to
-    [lo + h, hi - h] and taken if the clip moved it at most 2h and it lies within half the step
-    before of x.  Otherwise the midpoint is taken, and the next guess is judged against the
-    bracket's width.  A Luxemburg row closes in 2-6 steps with its Newton guess, 40-48 without.
+    or a pair (bool, guess).  A bracket that a step closes to hi - lo <= rtol * hi keeps its ends, so
+    it ends as it would alone; once all have closed the final (lo, hi) are returned, whose midpoint
+    0.5 lo + 0.5 hi cannot overflow.  A plain bool gets bisection; a guess gets Brent's safeguard
+    (zeroin), with h = rtol * hi / 2: one within h / 2 of the last point x moves h across x to the
+    open side, never twice in a row; any other is clipped to [lo + h, hi - h] and taken if the clip
+    moved it at most 2h and it lies within half the step before of x.  Otherwise the midpoint is
+    taken, and the next guess is judged against the bracket's width.
     """
     step = hi - lo  # the step before: a midpoint counts as the whole width
     x = 0.5 * lo + 0.5 * hi
+    open_ = True
     for _ in range(_MAX_ITER):
         up = above(x)
         up, guess = up if isinstance(up, tuple) else (up, None)
-        hi = np.where(up, x, hi)
-        lo = np.where(up, lo, x)
+        hi = np.where(up & open_, x, hi)
+        lo = np.where(open_ > up, x, lo)  # open and not up; up may be a Python bool
         width, tol = hi - lo, rtol * hi
-        if (width <= tol).all():
+        open_ = width > tol
+        if not open_.any():
             break
         mid = 0.5 * lo + 0.5 * hi
         if guess is None:
@@ -47,7 +49,7 @@ def _bisect(above, lo, hi, rtol):
         # clipping x itself, an end of the bracket, moves it h towards the other end
         g = np.minimum(np.maximum(np.where(nudge, x, guess), lo + h), hi - h)
         dx = abs(g - x)
-        take = (width > tol) & (nudge | ((abs(g - guess) <= tol) & (dx <= 0.5 * step)))
+        take = open_ & (nudge | ((abs(g - guess) <= tol) & (dx <= 0.5 * step)))
         x = np.where(take, g, mid)
         step = np.where(take, np.where(nudge, 0.0, dx), width)
     return lo, hi

@@ -113,8 +113,9 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
 def _moduli(f, phi, alpha, deltas, grid, rtol):
     """modulus at every delta in deltas: a 1-d array for one CoeffSeq f, one row per member for a list.
 
-    Up to alpha = 1022 the grid and each zoom step are one batch for all members and deltas, whose
-    brackets are the pairs (member, delta), each with its member's row scale and stop width.
+    The grid and each zoom step are one batch for all members and deltas, whose brackets are the
+    pairs (member, delta), each with its member's row scale and stop width and its own exponent d.
+    A norm depends only on its own row, so a member's moduli do not depend on what shares the batch.
     """
     deltas = np.asarray(deltas, dtype=float)
     if not np.all(np.isfinite(np.append(deltas, alpha))):
@@ -126,29 +127,25 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     grid = int(grid)
     if grid < 2:
         raise ValueError("need at least two grid points")
-    if not isinstance(f, CoeffSeq) and (alpha == 0 or alpha > 1022):  # these orders go member by member
-        return np.reshape([_moduli(g, phi, alpha, deltas, grid, rtol) for g in f], (-1, deltas.size))
-    if alpha == 0:
-        return np.full(deltas.size, luxemburg_norm(phi, f, rtol=rtol))
-    if alpha > 1022 and deltas.size > 1:  # the row scale below depends on delta
-        return np.concatenate([_moduli(f, phi, alpha, [x], grid, rtol) for x in deltas])
     fs = [f] if isinstance(f, CoeffSeq) else list(f)
     n, absc, freqs = deltas.size, [np.abs(g.as_arrays()[1]) for g in fs], [g.max_freq for g in fs]
+    if alpha == 0:
+        out = np.reshape([[luxemburg_norm(phi, g, rtol=rtol)] * n for g in fs], (-1, n))
+        return out[0] if isinstance(f, CoeffSeq) else out
     # A row entry |2 sin(hk/2)|**alpha |c_k| <= 2**alpha max|c| overflows near the top of the double range,
     # where the modulus can still be finite.  There a member's rows are built from |c_k| / 2**e, which keeps
     # them below 2**1022, and only its result is multiplied back: powers of two scale every norm exactly.
     head = max(1022 - math.ceil(alpha), 0)
     e = np.array([max(int(np.frexp(a.max(initial=0.0))[1]) - head, 0) for a in absc], dtype=int)
-    # Above alpha = 1022 (one member and one delta) the power itself can overflow, whatever |c_k| is.  Then
-    # every sine term is also scaled by 2**(-d / alpha), so that the largest one met at a shift in [0, delta]
-    # stays below 2**1022, and 2**d joins 2**e.  Up to alpha = 1022, d = 0 and the scale is exactly 2.  Past
+    # Above alpha = 1022 the power itself can overflow, whatever |c_k| is.  Then every sine term of a
+    # bracket is also scaled by 2**(-d / alpha), so that the largest one met at a shift in [0, delta] stays
+    # below 2**1022, and 2**d joins 2**e.  Up to alpha = 1022, d = 0 and the scale is exactly 2.  Past
     # d = 2200 the modulus is beyond the double range: at its peak shift the max|k| term exceeds
-    # 2**(d + 1021 - 1074), and a norm is at least its largest term over M^-1(1) < 2**1024.
-    top = 2.0 * math.sin(min(deltas.max() * max(freqs, default=0) / 2.0, math.pi / 2.0))
-    d = max(math.ceil(alpha * math.log2(max(top, 1.0))) - 1022, 0)
-    if d > 2200:
-        return np.full(deltas.size, np.inf)
-    scale = 2.0 * 2.0 ** (-d / alpha)
+    # 2**(d + 1021 - 1074), and a norm is at least its largest term over M^-1(1) < 2**1024.  Such a
+    # bracket gets all-zero rows, so no zoom, and inf.
+    tops = [2.0 * math.sin(min(x * k / 2.0, math.pi / 2.0)) for k in freqs for x in deltas.tolist()]
+    d = np.array([min(max(math.ceil(alpha * math.log2(max(t, 1.0))) - 1022, 0), 2201) for t in tops])
+    scale = np.array([2.0 * 2.0 ** (-x / alpha) if x <= 2200 else 0.0 for x in d.tolist()])
     # Members whose support sizes share (len - 1).bit_length() form one table of rows left-aligned on their
     # own ks and padded with k = 0, c = 0 entries, which add M(0) = 0 (and 0 M'(0) = 0) to every norm.  So
     # padding at most doubles a row, a lone member keeps its rows bit for bit, and each batch of shifts
@@ -167,13 +164,13 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
 
     def norms(i, hs):
         """Shift norms at hs, each for the member of its bracket i."""
-        m, out = i // n, np.empty(hs.size)
+        m, sc, out = i // n, scale[i, None], np.empty(hs.size)
         for slot, ks, rows in tables:
             at = np.flatnonzero(slot[m] >= 0)
             r = slot[m[at]]
             for s in _blocks(at.size, ks.shape[1]):  # a lone member's rows need no gather of its support
                 k, a = (ks[0], rows[0]) if len(ks) == 1 else (ks[r[s]], rows[r[s]])
-                out[at[s]] = _lux_rows(_shift_rows(hs[at[s]], k, a, alpha, scale), phi, rtol=rtol)
+                out[at[s]] = _lux_rows(_shift_rows(hs[at[s]], k, a, alpha, sc[at[s]]), phi, rtol=rtol)
         return out
 
     hs = np.tile(np.linspace(0.0, deltas, grid, axis=1).ravel(), len(fs))
@@ -188,16 +185,16 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     # Near an interior maximum the norm is quadratic in h on the scale 1 / max|k| of its fastest
     # harmonic, so this pins it to ~rtol; all-zero norms (underflow at a large alpha) need no zoom.
     stop = np.where(best > 0.0, math.sqrt(rtol) / (2.0 * np.repeat(np.maximum(freqs, 1), n)), np.inf)
-    peak = np.fmax(best, _zoom(norms, c, w, gc, stop)[1]).reshape(-1, n)
+    peak = np.fmax(best, _zoom(norms, c, w, gc, stop)[1])
     with np.errstate(over="ignore"):  # a modulus beyond the double range is inf
-        out = np.ldexp(peak, e[:, None] + d)
+        out = np.where(d > 2200, np.inf, np.ldexp(peak, np.repeat(e, n) + d)).reshape(-1, n)
     return out[0] if isinstance(f, CoeffSeq) else out
 
 
 def _shift_rows(hs, ks, absc, alpha, scale=2.0):
     """Rows |scale sin(h k / 2)|**alpha |c_k|, one per shift h, built in a single array.
 
-    ks and absc are one support for every row, or 2-d with one support per row.
+    ks and absc are one support for every row, or 2-d with one per row; scale a scalar or a column.
     """
     out = hs[:, None] * ks
     out *= 0.5

@@ -321,15 +321,25 @@ def read_coeffs(source) -> CoeffSeq:
     double range.  k strictly ascends from line to line.  Blank and whitespace-only lines are
     skipped, and exact zeros are dropped.  The first line that breaks this raises
     ``ValueError("<name>:<line>: ...")``, where name is the path, ``source.name`` or
-    ``<stream>``.
+    ``<stream>``; from a path, so does the first line that is not UTF-8.
 
     Each block of lines is parsed by one ``json.loads``.  A block whose joined text might not
     split into one object per line, or that holds a bad line, is parsed again line by line,
     which names the first bad line.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:  # fh.name is the path as a string
-            return read_coeffs(fh)
+        try:
+            with open(source, "r", encoding="utf-8") as fh:  # fh.name is the path as a string
+                return read_coeffs(fh)
+        except UnicodeDecodeError:  # its position is within the decoder's chunk: find the line
+            with open(source, "rb") as fh:  # bytes.splitlines splits as universal newlines do
+                lines = fh.read().splitlines()
+            for lineno, line in enumerate(lines, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{fh.name}:{lineno}: not UTF-8 text ({exc.reason})") from None
+            raise
     name = getattr(source, "name", "<stream>")
     numbered = ((lineno, line) for lineno, line in enumerate(map(str.strip, source), 1) if line)
     ks, cs, prev = [np.empty(0, np.int64)], [np.empty(0, np.complex128)], -2**63  # prev: below every k

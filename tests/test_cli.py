@@ -296,3 +296,15 @@ def test_norm_of_a_file_whose_magnitude_overflows_names_the_line(tmp_path):
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert errors == [f"orliczseq: error: {path}:2: |re + i im| is beyond the double range"]
     assert "Warning" not in proc.stderr
+
+
+def test_an_undecodable_byte_is_reported_with_the_file_and_its_line(tmp_path):
+    # the byte sits past the decoder's first 8 KB chunk, so the chunk-relative position names no line
+    lines = [f'{{"k": {k}, "re": 0.125, "im": -0.5}}\n'.encode() for k in range(1, 1501)]
+    lines[1000] = lines[1000].replace(b"0.125", b"0.12\xff")
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"".join(lines))
+    proc = _cli_subprocess("norm", "--input", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"{path}:1001: not UTF-8 text" in errors[0]

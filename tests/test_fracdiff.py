@@ -413,3 +413,19 @@ def test_batched_moduli_match_the_single_member_moduli(phi):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         if alpha > 0:
             assert not batch[1].any()  # a constant has modulus 0
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+def test_swept_moduli_of_equal_size_members_are_the_single_moduli_bit_for_bit(phi):
+    # no member is padded, and a norm depends only on its own row
+    rng = np.random.default_rng(8)
+    members = []
+    for s in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
+        ks = np.sort(rng.choice(np.arange(-40, 41), 17, replace=False))
+        members.append(CoeffSeq.from_arrays(ks, (rng.standard_normal(17) + 1j * rng.standard_normal(17))
+                                            * (1.0 + np.abs(ks)) ** -s))
+    deltas = [0.01, 0.1, 0.5, 1.0, 3.0]
+    for alpha in (1.5, 1100.0):
+        batch = fracdiff._moduli(members, phi, alpha, deltas, 64, 1e-12)
+        for f, got in zip(members, batch):
+            assert got.tolist() == [modulus(f, phi, alpha, d, grid=64) for d in deltas]

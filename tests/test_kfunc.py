@@ -381,3 +381,15 @@ def test_polished_equivalence_report_takes_at_most_50_polish_solves_per_member(m
     rep = equivalence_report("random-band", 1, P2, num_funcs=4, polish=True)
     members = 4 + 4  # the harmonic probes and the seeded draws
     assert rep.params["polish"] and len(calls) <= 50 * members
+
+
+def test_polished_k_functionals_are_the_single_k_functionals_bit_for_bit():
+    # the polish zooms all deltas in one batch, and a norm depends only on its own row
+    deltas = [0.02, 0.05, 0.1, 0.3, 1.0]
+    for phi in (power(1.5), P2, exp_minus_one(), power_log(2)):
+        rng = np.random.default_rng(44)
+        for _ in range(6):
+            f = random_sparse_seq(rng, band=16, max_terms=32) + CoeffSeq({19: 0.3 - 0.2j})
+            alpha = float(rng.uniform(0.5, 2.0))
+            batch = kfunc._k_functionals(f, phi, alpha, deltas, None, True, 1e-12)
+            assert batch == [k_functional(f, phi, alpha, d) for d in deltas]

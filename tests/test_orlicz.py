@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sparse_seq
-from orliczseq import kfunc, orlicz
+from orliczseq import fracdiff, kfunc, orlicz
 from orliczseq.approx import best_approx
 from orliczseq.fracdiff import modulus
 from orliczseq.kfunc import k_functional
@@ -507,3 +507,30 @@ def test_conjugate_at_zero_is_exactly_zero_on_the_numeric_route():
                 dataclasses.replace(power(2), closed_form_conjugate=None), power_log(2)):
         got = conjugate(phi, 0.0)
         assert got == 0.0 and not math.copysign(1.0, got) < 0
+
+
+@pytest.mark.parametrize("phi", [power(2), exp_minus_one(), power_log(2)], ids=str)
+def test_each_row_of_a_batch_gets_the_bits_it_gets_alone(phi):
+    # a bracket that has closed keeps its ends while the other rows of its batch still step
+    rng = np.random.default_rng(1)
+    rows = np.abs(rng.standard_normal((40, 64))) * np.arange(1, 65) ** -rng.uniform(0.0, 3.0, (40, 1))
+    alone = [orlicz._lux_rows(r[None, :], phi)[0] for r in rows]
+    assert orlicz._lux_rows(rows, phi).tolist() == alone
+
+
+def test_window_norms_and_moduli_do_not_depend_on_the_block_size(monkeypatch):
+    rng = np.random.default_rng(2)
+    members = []
+    for n in (300, 65, 65, 65):
+        ks = np.sort(rng.choice(np.arange(-200, 201), n, replace=False))
+        members.append(CoeffSeq.from_arrays(ks, (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                                            * (1.0 + np.abs(ks)) ** -2.0))
+    lo, deltas = np.arange(0, 200), [0.1, 1.0, 3.0]
+    for phi in (power(2), exp_minus_one(), power_log(2)):
+        windows = orlicz._window_norms(members[0], phi, lo, np.inf, 1e-12).tolist()
+        moduli = [fracdiff._moduli(members[1:], phi, a, deltas, 64, 1e-12).tolist() for a in (1.0, 1100.0)]
+        with monkeypatch.context() as m:
+            m.setattr(orlicz, "_BLOCK_ENTRIES", 2 ** 12)  # blocks of 13 window rows, of 63 shift rows
+            assert orlicz._window_norms(members[0], phi, lo, np.inf, 1e-12).tolist() == windows
+            for a, want in zip((1.0, 1100.0), moduli):
+                assert fracdiff._moduli(members[1:], phi, a, deltas, 64, 1e-12).tolist() == want

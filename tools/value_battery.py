@@ -12,8 +12,12 @@ Recorded values, keyed ``kind|gauge|sequence|...``:
 * ``modulus``: at alpha in {0.5, 1, 2} and delta in {0.01, 0.1, 0.5, 1, 3}, grid 128, and at
   orders above 1024, where a shift-row power 2**alpha overflows: ``{1: 1e-300}`` at alpha in
   {1025, 1100, 2000}, delta = 3.14159, and ``{1: 1, 3: 0.5}`` at alpha = 1100, delta = 3;
+* ``modulus`` also as a sweep computes it: ``_moduli`` of one list of three members, the partial
+  sums to |k| <= 6 of two band-16 draws and a band-4 draw padded to their 13 entries, at alpha in
+  {1, 1100} and delta in {1, 3};
 * ``k``, ``kdeg``: the K-functional value and minimizer_degree at alpha = 1, delta in {0.02, 0.3},
-  polished and not, for sequences of band at most 128;
+  polished and not, for sequences of band at most 128; ``k`` also polished at both deltas by one
+  ``_k_functionals`` call (``polish=batched``);
 * ``binom``: binom(alpha, j) for 0 <= j <= alpha < 40 and a few fractional alpha;
 * ``cli``: the exit code and stdout of about 25 CLI invocations, run in-process in a temporary
   directory with relative file names, so the bytes do not depend on a path; among the input files
@@ -124,6 +128,7 @@ def _cli_runs(seqs):
 
 def battery():
     seqs, out = sequences(), {}
+    sweep = [spectrum.fourier_sum(seqs["band16-s0"], 6), spectrum.fourier_sum(seqs["band16-s1"], 6), seqs["band4-s0"]]
     for gname, phi in GAUGES.items():
         for sname, f in seqs.items():
             key = f"{gname}|{sname}"
@@ -141,6 +146,8 @@ def battery():
                     est = kfunc.k_functional(f, phi, 1.0, d, polish=polish)
                     out[f"k|{key}|delta={d}|polish={polish}"] = est.value
                     out[f"kdeg|{key}|delta={d}|polish={polish}"] = est.minimizer_degree
+            for d, est in zip(K_DELTAS, kfunc._k_functionals(f, phi, 1.0, K_DELTAS, None, True, 1e-12)):
+                out[f"k|{key}|delta={d}|polish=batched"] = est.value
         for sname, f in near_limit().items():
             out[f"lux|{gname}|{sname}"] = orlicz.luxemburg_norm(phi, f)
             out[f"dual|{gname}|{sname}"] = orlicz.orlicz_norm(phi, f)
@@ -148,6 +155,10 @@ def battery():
             sname = json.dumps(spec).replace(" ", "")
             out[f"modulus|{gname}|{sname}|alpha={a}|delta={d}"] = fracdiff.modulus(CoeffSeq(spec), phi, a, d,
                                                                                  grid=128)
+        for a in (1.0, 1100.0):
+            for m, row in enumerate(fracdiff._moduli(sweep, phi, a, [1.0, 3.0], 128, 1e-12)):
+                for d, v in zip((1.0, 3.0), row.tolist()):
+                    out[f"modulus|{gname}|sweep(band16-s0:6,band16-s1:6,band4-s0)[{m}]|alpha={a}|delta={d}"] = v
     for a in [float(a) for a in range(40)] + [0.5, 1.5, 2.7, 11.5, 39.3]:
         for j in range(int(a) + 2 if a.is_integer() else 41):
             out[f"binom|alpha={a}|j={j}"] = fracdiff.binom(a, j)
