@@ -306,8 +306,6 @@ def _window_norms(f, phi, lo, hi, rtol, w=None):
     ks, cs = f.as_arrays()
     absk, w = np.abs(ks), np.abs(cs) if w is None else w
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if lo.size == 0:
-        return np.zeros(0)
     keep = (absk >= lo.min()) & (absk <= hi.max())
     w, absk = w[keep], absk[keep]
     return np.concatenate([

@@ -318,77 +318,77 @@ def read_coeffs(source) -> CoeffSeq:
 
     Every non-blank line holds one JSON object with exactly the keys k, re and im: an integer
     k below 2**63 in magnitude and numbers re and im, finite and with |re + i im| within the
-    double range.  k strictly ascends from line to line.  Blank and whitespace-only lines are
-    skipped, and exact zeros are dropped.  The first line that breaks this raises
-    ``ValueError("<name>:<line>: ...")``, where name is the path, ``source.name`` or
-    ``<stream>``; from a path, so does the first line that is not UTF-8.
+    double range, in UTF-8 text.  k strictly ascends from line to line.  Blank and
+    whitespace-only lines are skipped, and exact zeros are dropped.  The first line that breaks
+    this, in any way, raises ``ValueError("<name>:<line>: ...")``, where name is the path,
+    ``source.name`` or ``<stream>``.  A path is opened once; an undecodable byte reaches the
+    line checks as a lone surrogate, as in a stream opened with ``errors="surrogateescape"``.
+    A stream whose own decoder fails raises ``ValueError("<name>: not UTF-8 text (<reason>)")``.
 
-    Each block of lines is parsed by one ``json.loads``.  A block whose joined text might not
-    split into one object per line, or that holds a bad line, is parsed again line by line,
-    which names the first bad line.
+    ``_block_arrays`` parses each block of lines, most with one ``json.loads``, and builds the
+    arrays of every block that keeps the contract.  A block it rejects holds a bad line, which
+    ``_line_error`` finds and names.
     """
     if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:  # fh.name is the path as a string
-                return read_coeffs(fh)
-        except UnicodeDecodeError:  # its position is within the decoder's chunk: find the line
-            with open(source, "rb") as fh:  # bytes.splitlines splits as universal newlines do
-                lines = fh.read().splitlines()
-            for lineno, line in enumerate(lines, 1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ValueError(f"{fh.name}:{lineno}: not UTF-8 text ({exc.reason})") from None
-            raise
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:  # fh.name is the path
+            return read_coeffs(fh)
     name = getattr(source, "name", "<stream>")
     numbered = ((lineno, line) for lineno, line in enumerate(map(str.strip, source), 1) if line)
     ks, cs, prev = [np.empty(0, np.int64)], [np.empty(0, np.complex128)], -2**63  # prev: below every k
-    while block := list(itertools.islice(numbered, _BLOCK)):
-        k, c = _block_arrays(block, prev) or _line_arrays(name, block, prev)
-        ks.append(k)
-        cs.append(c)
-        prev = int(k[-1])
+    try:
+        while block := list(itertools.islice(numbered, _BLOCK)):
+            k, c = _block_arrays(block, prev) or _line_error(name, block, prev)
+            ks.append(k)
+            cs.append(c)
+            prev = int(k[-1])
+    except UnicodeDecodeError as exc:  # a strict stream's decoder, somewhere in its read-ahead
+        raise ValueError(f"{name}: not UTF-8 text ({exc.reason})") from None
     return CoeffSeq.from_arrays(np.concatenate(ks), np.concatenate(cs))
 
 
 def _block_arrays(block, prev):
-    """(ks, cs) of a block of (line number, stripped line) pairs from one json.loads, or None.
+    """(ks, cs) of a block of (line number, stripped line) pairs; None exactly when a line is bad.
 
-    None unless every line starts with { and ends with } and the block holds no other brace,
-    the joined parse gives one dict per line, and every line keeps the file contract, its k
-    above prev.  n dicts need n braces, so then each dict is exactly one line's text, as a
-    parse of that line alone would give it.
+    A line is bad when it breaks the file contract, its k above prev, or holds a lone surrogate
+    that is not an escaped UTF-8 byte sequence.  The block is parsed by one json.loads when
+    every line starts with { and ends with } and the block holds no other brace: n dicts need
+    n braces, so each dict is then exactly one line's text, as a parse of that line alone would
+    give it.  Any other block (a repeated key may hold a brace) is parsed line by line.
     """
     texts = [line for _, line in block]
     joined, n = ",".join(texts), len(texts)
-    if not (all(t[0] == "{" and t[-1] == "}" for t in texts) and joined.count("{") == n == joined.count("}")):
-        return None
+    whole = all(t[0] == "{" and t[-1] == "}" for t in texts) and joined.count("{") == n == joined.count("}")
     try:
-        objs = json.loads(f"[{joined}]")
+        if not joined.isascii():  # UnicodeError where an undecodable byte arrived as a lone surrogate
+            joined.encode("utf-8", "surrogateescape").decode("utf-8")
+        objs = json.loads(f"[{joined}]") if whole else list(map(json.loads, texts))
         k, re, im = zip(*map(_LINE_VALUES, objs))  # KeyError for a missing key, TypeError for a non-dict
-    except (json.JSONDecodeError, KeyError, TypeError):
+    except (UnicodeError, json.JSONDecodeError, KeyError, TypeError):
         return None
+    parts = set(map(type, re + im))
     if (len(objs) != n or set(map(len, objs)) != {3} or set(map(type, k)) != {int}
-            or not set(map(type, re + im)) <= {int, float}):
+            or not parts <= {int, float}  # and int parts exactly: one just above DBL_MAX rounds to it
+            or int in parts and any(abs(v) > sys.float_info.max for v in re + im)):
         return None
     ks, cs = np.empty(n, np.int64), np.empty(n, np.complex128)
     try:
         ks[:], cs.real, cs.imag = k, re, im
-    except OverflowError:  # an integer beyond the int64 or double range
+    except OverflowError:  # a k beyond the int64 range
         return None
     with np.errstate(over="ignore"):
-        inside = (np.abs(cs) < sys.float_info.max).all()  # also False for nan and inf
+        inside = (np.abs(cs) <= sys.float_info.max).all()  # also False for nan and inf
     if not inside or ks[0] <= prev or (ks[1:] <= ks[:-1]).any():
         return None
     return ks, cs
 
 
-def _line_arrays(name, block, prev):
-    """(ks, cs) of a block parsed line by line; ValueError("<name>:<line>: ...") at its first bad line."""
-    ks, cs = [], []
+def _line_error(name, block, prev):
+    """ValueError("<name>:<line>: ...") at the first bad line of a block that _block_arrays rejects."""
     for lineno, line in block:
-        try:
-            obj = json.loads(line)
+        try:  # an undecodable byte arrives as a lone surrogate; encoded back, its bytes fail to decode
+            obj = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
+        except UnicodeError as exc:
+            raise ValueError(f"{name}:{lineno}: not UTF-8 text ({exc.reason})") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{name}:{lineno}: invalid JSON ({exc.msg})") from None
         if not isinstance(obj, dict) or set(obj) != _LINE_KEYS:
@@ -401,11 +401,7 @@ def _line_arrays(name, block, prev):
         if k <= prev:
             kind = "duplicate" if k == prev else "descending"
             raise ValueError(f"{name}:{lineno}: {kind} k={k}; k must strictly ascend")
-        c = complex(re, im)
         with np.errstate(over="ignore"):
-            if np.isinf(np.abs(np.complex128(c))):
+            if np.isinf(np.abs(np.complex128(complex(re, im)))):
                 raise ValueError(f"{name}:{lineno}: |re + i im| is beyond the double range")
         prev = k
-        ks.append(k)
-        cs.append(c)
-    return np.array(ks, dtype=np.int64), np.array(cs, dtype=np.complex128)

@@ -356,12 +356,14 @@ def classify(f_or_errors, phi: OrliczFunction, omega: MajorantOmega, alpha: floa
         raise ValueError("majorant fails partial-sum regularity for this alpha")
 
     if isinstance(f_or_errors, CoeffSeq):
-        f = f_or_errors
-        errors = _window_norms(f, phi, np.arange(1, n_max + 1), np.inf, rtol).tolist()
+        f, errors = f_or_errors, None
     else:
-        f = None
-        errors = [float(e) for e in f_or_errors]
+        f, errors = None, [float(e) for e in f_or_errors]
         n_max = len(errors)
+    if n_max < 1:  # before any solve
+        raise ValueError("need n_max >= 1")
+    if f is not None:
+        errors = _window_norms(f, phi, np.arange(1, n_max + 1), np.inf, rtol).tolist()
     ns = list(range(1, n_max + 1))
     ratios_e = [e / omega(1.0 / n) for n, e in zip(ns, errors)]
 

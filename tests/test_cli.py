@@ -11,8 +11,10 @@ from orliczseq.cli import run
 from orliczseq.fracdiff import modulus
 from orliczseq.orlicz import from_spec
 from orliczseq.spectrum import CoeffSeq, read_coeffs, write_coeffs
+from orliczseq.verify import MajorantOmega, classify, rates_report
 
 P2 = '{"family":"power","p":2}'
+P2_GAUGE = from_spec(json.loads(P2))
 
 
 @pytest.fixture
@@ -308,3 +310,16 @@ def test_an_undecodable_byte_is_reported_with_the_file_and_its_line(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and f"{path}:1001: not UTF-8 text" in errors[0]
+
+
+def test_verify_classify_prints_the_reports_json(coeff_file, capsys):
+    path = coeff_file("c.jsonl", {k: k ** -1.5 for k in range(1, 257)})
+    report = classify(read_coeffs(path), P2_GAUGE, MajorantOmega.power(1.0), 2.0, n_max=32, grid=128)
+    code = run(["verify", "classify", "--input", path, "--r", "1", "--alpha", "2", "--n-max", "32"])
+    assert (code, capsys.readouterr().out) == (0 if report.passed else 1, report.to_json())
+
+
+def test_verify_rates_prints_the_reports_json(capsys):
+    report = rates_report(1.0, 2.0, P2_GAUGE, band=256, j_min=3, j_max=9, grid=128)
+    code = run(["verify", "rates", "--beta", "1", "--alpha", "2", "--band", "256"])
+    assert (code, capsys.readouterr().out) == (0 if report.passed else 1, report.to_json())

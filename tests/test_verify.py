@@ -127,6 +127,16 @@ def test_classify_rejects_invalid_majorant():
         classify(f, P2, jumpy, 1.0, n_max=64)
 
 
+
+def test_classify_rejects_an_empty_ladder_before_any_solve(monkeypatch):
+    from orliczseq import verify
+
+    monkeypatch.setattr(verify, "_window_norms", lambda *args: pytest.fail("solved an empty ladder"))
+    for f_or_errors, n_max in ((CoeffSeq({1: 1.0}), 0), ([], 256)):
+        with pytest.raises(ValueError, match="^need n_max >= 1$"):
+            classify(f_or_errors, P2, MajorantOmega.power(0.5), 1.0, n_max=n_max)
+
+
 # -- rate transfer ------------------------------------------------------------------
 
 

@@ -21,7 +21,11 @@ Recorded values, keyed ``kind|gauge|sequence|...``:
 * ``binom``: binom(alpha, j) for 0 <= j <= alpha < 40 and a few fractional alpha;
 * ``cli``: the exit code and stdout of about 25 CLI invocations, run in-process in a temporary
   directory with relative file names, so the bytes do not depend on a path; among the input files
-  are one with blank, whitespace-only and CRLF lines and one whose ``|re + i im|`` overflows.
+  are one with blank, whitespace-only and CRLF lines and one whose ``|re + i im|`` overflows;
+* ``readerr``: the error text (exception type and message) of ``read_coeffs`` on broken files,
+  read by relative name in a temporary directory: bad JSON on line 3 with a 0xff byte on line 40,
+  0xff on line 2 with bad JSON on line 40, 0xff on line 1001 (also as a strict UTF-8 stream), and
+  an integer part of ``int(DBL_MAX) + 1``.
 
 The comparison prints, per kind, the entry count on each side, the bit-identical count and the
 largest relative move (for ``cli``, over the numbers printed), then every differing integer entry,
@@ -126,6 +130,43 @@ def _cli_runs(seqs):
     return out
 
 
+def _broken(bad_json=None, byte=None):
+    """1200 good lines, with line bad_json not JSON and line byte holding an undecodable 0xff."""
+    lines = [f'{{"k": {k}, "re": 0.125, "im": -0.5}}\n'.encode() for k in range(1, 1201)]
+    if bad_json:
+        lines[bad_json - 1] = b"not json\n"
+    if byte:
+        lines[byte - 1] = lines[byte - 1].replace(b"0.125", b"0.12\xff")
+    return b"".join(lines)
+
+
+def _error_text(source):
+    """The exception type and message of read_coeffs(source), or "read" when it reads."""
+    try:
+        spectrum.read_coeffs(source)
+    except ValueError as exc:  # UnicodeDecodeError, too, as an older revision raises from a strict stream
+        return f"{type(exc).__name__}: {exc}"
+    return "read"
+
+
+def _reader_errors():
+    """The error text of read_coeffs on a few broken files, keyed by what breaks them."""
+    files = {"json@3,0xff@40": _broken(3, 40), "0xff@2,json@40": _broken(40, 2), "0xff@1001": _broken(byte=1001),
+             "re=int(DBL_MAX)+1": f'{{"k": 1, "re": {int(sys.float_info.max) + 1}, "im": 0}}\n'.encode()}
+    out, cwd = {}, os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, data in files.items():
+                Path(f"{name}.jsonl").write_bytes(data)
+                out[f"readerr|{name}|path"] = _error_text(f"{name}.jsonl")
+            with open("0xff@1001.jsonl", encoding="utf-8") as fh:
+                out["readerr|0xff@1001|strict stream"] = _error_text(fh)
+        finally:
+            os.chdir(cwd)
+    return out
+
+
 def battery():
     seqs, out = sequences(), {}
     sweep = [spectrum.fourier_sum(seqs["band16-s0"], 6), spectrum.fourier_sum(seqs["band16-s1"], 6), seqs["band4-s0"]]
@@ -163,6 +204,7 @@ def battery():
         for j in range(int(a) + 2 if a.is_integer() else 41):
             out[f"binom|alpha={a}|j={j}"] = fracdiff.binom(a, j)
     out.update(_cli_runs(seqs))
+    out.update(_reader_errors())
     return out
 
 
