@@ -99,13 +99,13 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
             *, rtol: float = 1e-12) -> float:
     """Smoothness modulus sup_{|h| <= delta} of the difference norm.
 
-    alpha = 0 returns the plain norm of f.  The shift norm is even in h, so
-    the search runs over [0, delta]: a uniform grid of `grid` points, then a
-    zoom on the bracket around the best grid shift (the last cell when that is
-    delta).  Each step solves the midpoints between the bracket's centre
-    and its ends and centres a bracket half as wide on the best of the three,
-    until it is narrower than sqrt(rtol) / max|k|.  The result is the largest
-    norm met, so always a lower bound for the supremum.
+    alpha = 0 returns the plain norm of f.  The shift norm is even and 2 pi-periodic
+    in h, so the search runs over [0, min(delta, pi)]: a uniform grid of `grid`
+    points, then a zoom on the bracket around the best grid shift (the last cell
+    when that is min(delta, pi)).  Each step solves the midpoints between the
+    bracket's centre and its ends and centres a bracket half as wide on the best
+    of the three, until it is narrower than sqrt(rtol) / max|k|.  The result is
+    the largest norm met, so always a lower bound for the supremum.
     """
     return float(_moduli(f, phi, alpha, [delta], grid, rtol)[0])
 
@@ -127,6 +127,7 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     grid = int(grid)
     if grid < 2:
         raise ValueError("need at least two grid points")
+    deltas = np.minimum(deltas, math.pi)  # integer k: [0, pi] holds every shift norm
     fs = [f] if isinstance(f, CoeffSeq) else list(f)
     n, absc, freqs = deltas.size, [np.abs(g.as_arrays()[1]) for g in fs], [g.max_freq for g in fs]
     if alpha == 0:

@@ -79,12 +79,10 @@ def _k_functionals(f, phi, alpha, deltas, n_band, polish, rtol):
     if not np.all(np.isfinite(deriv_w)):
         raise ValueError(f"|k| ** alpha * |c_k| overflows at alpha = {alpha}, max|k| = {absk[band].max()}")
 
-    # h = 0 (the whole tail, no head) plus the degrees where the partial sum changes.
-    radii = np.array(sorted({0, *absk[absk <= n_band].tolist()}))
-    degrees = np.append(-1, radii)
-    tails = _window_norms(f, phi, np.append(0, radii + 1), np.inf, rtol)
-    heads = np.append(0.0, _window_norms(f, phi, 1, radii, rtol, deriv_w))
-    scan = tails + dpows[:, None] * heads
+    # degree -1 is h = 0 (tail [0, inf) = all of f, empty head [1, -1]); then 0 and each |k| <= n_band
+    degrees = np.array(sorted({-1, 0, *absk[absk <= n_band].tolist()}))
+    scan = (_window_norms(f, phi, degrees + 1, np.inf, rtol)
+            + dpows[:, None] * _window_norms(f, phi, 1, degrees, rtol, deriv_w))
     best = scan.argmin(axis=1)  # the first minimum
     m, values = degrees[best], scan[np.arange(dpows.size), best]
     refine = (m >= 0) & bool(polish)

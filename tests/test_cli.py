@@ -272,6 +272,15 @@ def test_omega_beyond_the_double_range_prints_inf_without_a_warning(coeff_file):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "inf\n", "")
 
 
+def test_omega_past_pi_prints_the_modulus_at_pi_without_a_warning(coeff_file):
+    # the shift norm is 2 pi-periodic in h, so no shift past pi is solved and no h k overflows
+    path = coeff_file("two.jsonl", {1: 1, 3: 0.5 + 0.25j})
+    at_pi = _cli_subprocess("omega", "--alpha", "1", "--delta", "3.141592653589793", "--input", path)
+    far = _cli_subprocess("omega", "--alpha", "1", "--delta", "1e308", "--input", path)
+    assert (far.returncode, far.stderr) == (0, "")
+    assert far.stdout == at_pi.stdout
+
+
 def test_kfunc_output_goes_to_the_file_and_nothing_to_stdout(coeff_file, tmp_path, capsys):
     path = coeff_file("h.jsonl", {1: 1.0, -3: 0.5})
     argv = ["kfunc", "--alpha", "1", "--delta", "0.25", "--input", path]

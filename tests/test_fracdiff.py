@@ -429,3 +429,30 @@ def test_swept_moduli_of_equal_size_members_are_the_single_moduli_bit_for_bit(ph
         batch = fracdiff._moduli(members, phi, alpha, deltas, 64, 1e-12)
         for f, got in zip(members, batch):
             assert got.tolist() == [modulus(f, phi, alpha, d, grid=64) for d in deltas]
+
+
+# -- shift domain ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+@pytest.mark.parametrize("f", [_band(16, 0), CoeffSeq({1: 1, 97: 0.5, 301: 0.2}), CoeffSeq({1: 1e-300}),
+                               CoeffSeq({0: 2, 5: 1e308})], ids=["band16", "three-harmonics", "tiny", "huge"])
+def test_modulus_past_pi_is_the_modulus_at_pi_bit_for_bit(phi, f):
+    # with integer k the shift norm is even and 2 pi-periodic in h, so [0, pi] holds every shift
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.5, 1.0, 2.0, 1100.0):
+            at_pi = modulus(f, phi, alpha, math.pi, grid=128)
+            for delta in (3.2, 4.0, 100.0, 1e15, 1e308):
+                assert modulus(f, phi, alpha, delta, grid=128) == at_pi
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one()], ids=str)
+def test_swept_moduli_past_pi_repeat_the_pi_column(phi):
+    deltas = [0.5, math.pi, 7.0, 1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1.0, 1100.0):
+            batch = fracdiff._moduli(_batched_members(), phi, alpha, deltas, 64, 1e-12)
+            for col in (2, 3):
+                assert batch[:, col].tolist() == batch[:, 1].tolist()

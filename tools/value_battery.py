@@ -12,6 +12,8 @@ Recorded values, keyed ``kind|gauge|sequence|...``:
 * ``modulus``: at alpha in {0.5, 1, 2} and delta in {0.01, 0.1, 0.5, 1, 3}, grid 128, and at
   orders above 1024, where a shift-row power 2**alpha overflows: ``{1: 1e-300}`` at alpha in
   {1025, 1100, 2000}, delta = 3.14159, and ``{1: 1, 3: 0.5}`` at alpha = 1100, delta = 3;
+* ``modulus`` also at alpha = 1, grid 128 and delta in {pi, 4, 1e15} for ``{1: 1, 97: 0.5, 301: 0.2}``
+  and ``band64-s0``: the shift norm is 2 pi-periodic in h, so each delta past pi must give the value at pi;
 * ``modulus`` also as a sweep computes it: ``_moduli`` of one list of three members, the partial
   sums to |k| <= 6 of two band-16 draws and a band-4 draw padded to their 13 entries, at alpha in
   {1, 1100} and delta in {1, 3};
@@ -83,6 +85,9 @@ def near_limit():
             "{k:1e307,1<=k<=100}": CoeffSeq({k: 1e307 for k in range(1, 101)}),
             "2**1022*{1:3,5:1,9:0.5}": 2.0 ** 1022 * CoeffSeq({1: 3, 5: 1, 9: 0.5})}
 
+
+# sequences and deltas for the moduli at and past pi
+PAST_PI_SEQS, PAST_PI_DELTAS = ('{"1":1,"97":0.5,"301":0.2}', "band64-s0"), (math.pi, 4.0, 1e15)
 
 # (sequence, alpha, delta) for the large-order moduli
 LARGE_ORDERS = [({1: 1e-300}, a, 3.14159) for a in (1025.0, 1100.0, 2000.0)] + [({1: 1, 3: 0.5}, 1100.0, 3.0)]
@@ -189,6 +194,10 @@ def battery():
                     out[f"kdeg|{key}|delta={d}|polish={polish}"] = est.minimizer_degree
             for d, est in zip(K_DELTAS, kfunc._k_functionals(f, phi, 1.0, K_DELTAS, None, True, 1e-12)):
                 out[f"k|{key}|delta={d}|polish=batched"] = est.value
+        for sname in PAST_PI_SEQS:
+            for d in PAST_PI_DELTAS:
+                out[f"modulus|{gname}|{sname}|alpha=1.0|delta={d}"] = fracdiff.modulus(seqs[sname], phi, 1.0, d,
+                                                                                     grid=128)
         for sname, f in near_limit().items():
             out[f"lux|{gname}|{sname}"] = orlicz.luxemburg_norm(phi, f)
             out[f"dual|{gname}|{sname}"] = orlicz.orlicz_norm(phi, f)
