@@ -115,7 +115,10 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
 
     The grid and each zoom step are one batch for all members and deltas, whose brackets are the
     pairs (member, delta), each with its member's row scale and stop width and its own exponent d.
-    A norm depends only on its own row, so a member's moduli do not depend on what shares the batch.
+    A norm depends only on its own row, so a member's moduli do not depend on what shares the batch,
+    and a row is solved once however many brackets share it: a grid point that several deltas hold
+    (a rates report's deltas 2**-3..2**-7 at grid 64 share 128 of their 320 grid rows).  A lone
+    member whose support holds +-k pairs computes one sine per distinct |k|.
     """
     deltas = np.asarray(deltas, dtype=float)
     if not np.all(np.isfinite(np.append(deltas, alpha))):
@@ -161,21 +164,34 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
             ks[r, :absc[m].size], rows[r, :absc[m].size] = fs[m].as_arrays()[0], np.ldexp(absc[m], -e[m])
         slot = np.full(len(fs), -1)  # each member's row in this table, -1 for the other members
         slot[members] = np.arange(len(members))
-        tables.append((slot, ks, rows))
+        # A lone member whose support holds a +-k pair takes one sine per distinct |k|: h (-k) = -(h k)
+        # and sin is odd, so the -k entries get the +k bits.
+        uk, inv = np.unique(np.abs(ks[0]), return_inverse=True) if len(members) == 1 else (ks[0], None)
+        if uk.size == width:  # no +-k pair, or several members: the rows keep their own ks
+            uk, inv = ks[0], None
+        tables.append((slot, ks, rows, uk, inv))
 
     def norms(i, hs):
         """Shift norms at hs, each for the member of its bracket i."""
         m, sc, out = i // n, scale[i, None], np.empty(hs.size)
-        for slot, ks, rows in tables:
+        for slot, ks, rows, uk, inv in tables:
             at = np.flatnonzero(slot[m] >= 0)
             r = slot[m[at]]
             for s in _blocks(at.size, ks.shape[1]):  # a lone member's rows need no gather of its support
-                k, a = (ks[0], rows[0]) if len(ks) == 1 else (ks[r[s]], rows[r[s]])
-                out[at[s]] = _lux_rows(_shift_rows(hs[at[s]], k, a, alpha, sc[at[s]]), phi, rtol=rtol)
+                k, a = (uk, rows[0]) if len(ks) == 1 else (ks[r[s]], rows[r[s]])
+                out[at[s]] = _lux_rows(_shift_rows(hs[at[s]], k, a, alpha, sc[at[s]], inv), phi, rtol=rtol)
         return out
 
-    hs = np.tile(np.linspace(0.0, deltas, grid, axis=1).ravel(), len(fs))
-    g = norms(np.repeat(np.arange(len(fs) * n), grid), hs).reshape(-1, grid)
+    # The grid row of bracket i at h is fixed by (member, row scale, h), and deltas share grid points
+    # (t and t / 2 share half of them, every delta >= pi all): each distinct key is solved once.
+    i = np.repeat(np.arange(len(fs) * n), grid)
+    keys = (np.tile(np.linspace(0.0, deltas, grid, axis=1).ravel(), len(fs)), scale[i], i // n)
+    order = np.lexsort(keys)
+    new = np.ones(i.size, dtype=bool)
+    new[1:] = np.any([x[order[1:]] != x[order[:-1]] for x in keys], axis=0)
+    run = np.empty(i.size, dtype=int)  # each grid point's key among the distinct ones
+    run[order] = np.cumsum(new) - 1
+    g = norms(i[order[new]], keys[0][order[new]])[run].reshape(-1, grid)
     dd = np.tile(deltas, len(fs))
     i, step = g.argmax(axis=1), dd / (grid - 1)
     best = g[np.arange(g.shape[0]), i]
@@ -192,15 +208,18 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     return out[0] if isinstance(f, CoeffSeq) else out
 
 
-def _shift_rows(hs, ks, absc, alpha, scale=2.0):
+def _shift_rows(hs, ks, absc, alpha, scale=2.0, inv=None):
     """Rows |scale sin(h k / 2)|**alpha |c_k|, one per shift h, built in a single array.
 
     ks and absc are one support for every row, or 2-d with one per row; scale a scalar or a column.
+    With inv, ks are the distinct |k| of the support and inv takes each entry of absc to its |k|.
     """
     out = hs[:, None] * ks
     out *= 0.5
     np.abs(np.sin(out, out=out), out=out)
     out *= scale
     out **= alpha
+    if inv is not None:
+        out = np.take(out, inv, axis=1)
     out *= absc
     return out

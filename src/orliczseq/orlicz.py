@@ -43,8 +43,9 @@ INF = math.inf
 _DBL_MAX = np.finfo(float).max
 
 # Rows are built and solved in blocks of at most this many entries: a rates report over 8192
-# entries peaks at 39 MB with 2**18, at 47 MB and 40% slower with 2**19, at 159 MB with 2**22.
-_BLOCK_ENTRIES = 2 ** 18
+# entries (grid 64) peaks at 37 MB with 2**17, 42 MB with 2**18 and 51 MB with 2**19, in about the
+# same time.  2**16 would add _lux_rows calls to a 16-member sweep's modulus.
+_BLOCK_ENTRIES = 2 ** 17
 
 
 def _blocks(n_rows, width):

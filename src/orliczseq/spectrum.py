@@ -72,13 +72,16 @@ class CoeffSeq:
         ks, cs = ks.astype(np.int64), np.asarray(values, dtype=np.complex128)
         if ks.ndim != 1 or ks.shape != cs.shape:
             raise ValueError("frequencies and amplitudes must be aligned 1-d sequences")
-        # The distinct frequencies are the run starts of the sorted ks, and a binary search finds each
-        # entry's slot, so the entries sum onto their slots in input order.
-        s = np.sort(ks)
-        s = s[np.concatenate(([True], s[1:] != s[:-1]))[:s.size]]
-        acc = np.zeros(s.size, dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects the result
-            np.add.at(acc, np.searchsorted(s, ks), cs)
+            if (ks[1:] > ks[:-1]).all():  # strictly ascending: each entry is its own slot
+                s, acc = ks, cs + 0j
+            else:
+                # The distinct frequencies are the run starts of the sorted ks, and a binary search finds
+                # each entry's slot, so the entries sum onto their slots in input order.
+                s = np.sort(ks)
+                s = s[np.concatenate(([True], s[1:] != s[:-1]))[:s.size]]
+                acc = np.zeros(s.size, dtype=np.complex128)
+                np.add.at(acc, np.searchsorted(s, ks), cs)
             if not np.isfinite(np.abs(acc)).all():  # |c| overflows for parts near the double limit
                 raise ValueError("coefficients must be finite")
         keep = acc != 0

@@ -456,3 +456,58 @@ def test_swept_moduli_past_pi_repeat_the_pi_column(phi):
             batch = fracdiff._moduli(_batched_members(), phi, alpha, deltas, 64, 1e-12)
             for col in (2, 3):
                 assert batch[:, col].tolist() == batch[:, 1].tolist()
+
+
+# -- shared shift rows -------------------------------------------------------------
+
+
+def _moduli_with_grid_rows(monkeypatch, f, phi, alpha, deltas, grid):
+    """_moduli(...) together with the number of grid rows it solved: the rows passed to _lux_rows before the zoom."""
+    rows, at_zoom = [0], []
+    solve, zoom = fracdiff._lux_rows, fracdiff._zoom
+
+    def counted(vals, phi, **kw):
+        rows[0] += vals.shape[0]
+        return solve(vals, phi, **kw)
+
+    def zoom_after_grid(*args):
+        at_zoom.append(rows[0])
+        return zoom(*args)
+
+    monkeypatch.setattr(fracdiff, "_lux_rows", counted)
+    monkeypatch.setattr(fracdiff, "_zoom", zoom_after_grid)
+    got = fracdiff._moduli(f, phi, alpha, deltas, grid, 1e-12)
+    return got, at_zoom[0]
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+def test_halved_deltas_solve_each_shared_grid_row_once(monkeypatch, phi):
+    # the grid of t / 2 holds 32 of the 64 points of the grid of t bit for bit: 64 + 4 * 32 rows, not 5 * 64
+    f, deltas = _band(4096, 0), [2.0 ** -j for j in range(3, 8)]
+    for alpha, g in ((0.5, f), (1.5, f), (1100.0, 2.0 ** -1000 * f)):
+        got, grid_rows = _moduli_with_grid_rows(monkeypatch, g, phi, alpha, deltas, 64)
+        assert grid_rows == 192
+        assert got.tolist() == [modulus(g, phi, alpha, d, grid=64) for d in deltas]
+        assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one()], ids=str)
+def test_deltas_at_and_past_pi_solve_the_pi_grid_once(monkeypatch, phi):
+    f, deltas = CoeffSeq({1: 1, 97: 0.5, 301: 0.2}), [1.0, math.pi, 4.0, 1e15]
+    got, grid_rows = _moduli_with_grid_rows(monkeypatch, f, phi, 1.0, deltas, 64)
+    # the grids of 1 and pi share only h = 0
+    assert grid_rows == np.unique(np.linspace(0.0, [1.0, math.pi], 64)).size == 127
+    assert got.tolist() == [modulus(f, phi, 1.0, d, grid=64) for d in (1.0, math.pi, math.pi, math.pi)]
+
+
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(st.floats(min_value=0.0, max_value=math.pi), min_size=1, max_size=8),
+       st.sampled_from([0.3, 0.5, 1.0, 1.5, 2.0, 3.7]))
+@settings(max_examples=60, deadline=None)
+def test_rows_from_the_distinct_frequency_magnitudes_are_the_full_rows_bit_for_bit(band, seed, hs, alpha):
+    # h (-k) = -(h k) exactly and sin is odd, so the -k entries of a row can take the +k sines
+    ks = np.arange(-band, band + 1)
+    absc = np.abs(np.random.default_rng(seed).standard_normal(ks.size)) / (1.0 + np.abs(ks))
+    uk, inv = np.unique(np.abs(ks), return_inverse=True)
+    hs = np.array(hs)
+    assert np.array_equal(fracdiff._shift_rows(hs, uk, absc, alpha, inv=inv), fracdiff._shift_rows(hs, ks, absc, alpha))

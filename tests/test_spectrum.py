@@ -246,6 +246,28 @@ def test_from_arrays_canonicalises_like_the_constructor():
     assert CoeffSeq.from_arrays(ks, cs).items() == sorted(acc.items())
 
 
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7e308, 1.0, -2.5]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(st.integers(min_value=-(2**63) + 1, max_value=2**63 - 1), min_size=2, max_size=12, unique=True),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_ascending_frequencies_skip_the_sort_with_the_sorted_path_bits(keys, data):
+    # reversed, the same entries take the sort and the slot sums; ascending, each entry is its own slot.
+    # Both add the values onto +0j, drop zeros and reject an overflowing |c|.
+    ks = np.array(sorted(keys), dtype=np.int64)
+    cs = np.array([complex(*data.draw(st.tuples(_PARTS, _PARTS))) for _ in ks])
+    results = []
+    for order in (slice(None), slice(None, None, -1)):
+        try:
+            got = CoeffSeq.from_arrays(ks[order], cs[order]).as_arrays()
+            results.append((got[0].tolist(), got[1].view(np.uint64).tolist()))
+        except ValueError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+
+
 def test_int64_extreme_frequencies_are_kept_exactly():
     top = 2**63 - 1
     for f in (CoeffSeq({top: 1.0, -top: 2.0}),

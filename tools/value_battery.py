@@ -1,7 +1,7 @@
 """Record or compare a fixed battery of orliczseq values.
 
     python tools/value_battery.py OUT.json         write every battery value to OUT.json
-    python tools/value_battery.py A.json B.json    compare two such files
+    python tools/value_battery.py A.json B.json    compare two such files; exit 1 if any value differs
 
 The battery imports orliczseq from the ``src`` directory of the checkout it lives in, so to
 compare two revisions copy this file into each checkout's ``tools`` directory and run it there.
@@ -17,6 +17,9 @@ Recorded values, keyed ``kind|gauge|sequence|...``:
 * ``modulus`` also as a sweep computes it: ``_moduli`` of one list of three members, the partial
   sums to |k| <= 6 of two band-16 draws and a band-4 draw padded to their 13 entries, at alpha in
   {1, 1100} and delta in {1, 3};
+* ``modulus`` also as a rates report computes it: one ``_moduli`` call on ``band1024-s0`` at alpha in
+  {1, 1.5}, grid 64 and delta = 2**-j for j in 3..7, whose grids share points; and one on
+  ``{1: 1, 97: 0.5, 301: 0.2}`` at alpha = 1, grid 128 and deltas [1, pi, 4], which share the grid of pi;
 * ``k``, ``kdeg``: the K-functional value and minimizer_degree at alpha = 1, delta in {0.02, 0.3},
   polished and not, for sequences of band at most 128; ``k`` also polished at both deltas by one
   ``_k_functionals`` call (``polish=batched``);
@@ -32,7 +35,8 @@ Recorded values, keyed ``kind|gauge|sequence|...``:
 The comparison prints, per kind, the entry count on each side, the bit-identical count and the
 largest relative move (for ``cli``, over the numbers printed), then every differing integer entry,
 every entry that moved between inf and a finite value and, for every differing CLI output, how
-many of its numbers moved and each move (only the largest when more than four moved).
+many of its numbers moved and each move (only the largest when more than four moved).  It exits
+with status 1 when a shared entry differs or an entry is on one side only, and 0 otherwise.
 """
 
 import contextlib
@@ -88,6 +92,9 @@ def near_limit():
 
 # sequences and deltas for the moduli at and past pi
 PAST_PI_SEQS, PAST_PI_DELTAS = ('{"1":1,"97":0.5,"301":0.2}', "band64-s0"), (math.pi, 4.0, 1e15)
+
+# deltas of the rates-report moduli, each grid sharing half its points with the next
+RATES_DELTAS = [2.0 ** -j for j in range(3, 8)]
 
 # (sequence, alpha, delta) for the large-order moduli
 LARGE_ORDERS = [({1: 1e-300}, a, 3.14159) for a in (1025.0, 1100.0, 2000.0)] + [({1: 1, 3: 0.5}, 1100.0, 3.0)]
@@ -209,6 +216,14 @@ def battery():
             for m, row in enumerate(fracdiff._moduli(sweep, phi, a, [1.0, 3.0], 128, 1e-12)):
                 for d, v in zip((1.0, 3.0), row.tolist()):
                     out[f"modulus|{gname}|sweep(band16-s0:6,band16-s1:6,band4-s0)[{m}]|alpha={a}|delta={d}"] = v
+        for a in (1.0, 1.5):
+            for d, v in zip(RATES_DELTAS, fracdiff._moduli(seqs["band1024-s0"], phi, a, RATES_DELTAS, 64,
+                                                           1e-12).tolist()):
+                out[f"modulus|{gname}|band1024-s0|alpha={a}|deltas=rates|grid=64|delta={d}"] = v
+        sname = PAST_PI_SEQS[0]
+        for d, v in zip((1.0, math.pi, 4.0), fracdiff._moduli(seqs[sname], phi, 1.0, [1.0, math.pi, 4.0], 128,
+                                                              1e-12).tolist()):
+            out[f"modulus|{gname}|{sname}|alpha=1.0|deltas=[1,pi,4]|delta={d}"] = v
     for a in [float(a) for a in range(40)] + [0.5, 1.5, 2.7, 11.5, 39.3]:
         for j in range(int(a) + 2 if a.is_integer() else 41):
             out[f"binom|alpha={a}|j={j}"] = fracdiff.binom(a, j)
@@ -234,6 +249,7 @@ def _numbers(text):
 
 
 def compare(a, b):
+    """Print the comparison of two batteries; True when every entry is on both sides with the same value."""
     kinds = sorted({k.split("|")[0] for k in list(a) + list(b)})
     print(f"{'kind':<8} {'count A':>8} {'count B':>8} {'identical':>10} {'max rel move':>13}")
     notes = []
@@ -267,13 +283,15 @@ def compare(a, b):
         notes += [f"only in A: {k}" for k in sorted(ka - kb)] + [f"only in B: {k}" for k in sorted(kb - ka)]
     for line in notes:
         print(line)
+    return a.keys() == b.keys() and all(json.dumps(a[k]) == json.dumps(b[k]) for k in a)
 
 
 def main(argv):
     if len(argv) == 1:
         Path(argv[0]).write_text(json.dumps(battery(), indent=0, sort_keys=True) + "\n", encoding="utf-8")
     elif len(argv) == 2:
-        compare(*(json.loads(Path(p).read_text(encoding="utf-8")) for p in argv))
+        if not compare(*(json.loads(Path(p).read_text(encoding="utf-8")) for p in argv)):
+            sys.exit(1)
     else:
         sys.exit(__doc__)
 
