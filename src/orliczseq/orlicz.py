@@ -6,9 +6,10 @@ primary norm of a coefficient sequence is the Luxemburg norm
     inf { a > 0 : sum_k M(|c_k| / a) <= 1 },
 
 solved here by bisection with safeguarded Newton steps on the defining
-inequality: 2-6 steps per row where plain bisection takes 40-48, and the
-result is still the midpoint of a two-sided bracket of width at most
-rtol * hi.  The dual (Orlicz) norm
+inequality: at most 3 steps per row under t**p, 5 under exp(t) - 1 and 6
+under t**p log(1 + t), where plain bisection takes 40-48, and none for a lone
+entry under a closed-form inverse.  The result is still the midpoint of a
+two-sided bracket of width at most rtol * hi.  The dual (Orlicz) norm
 is computed through the equivalent one-parameter form
 
     inf_{kappa > 0} (1 + sum_k M(kappa |c_k|)) / kappa,
@@ -323,8 +324,8 @@ def luxemburg_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
     """Luxemburg norm inf { a > 0 : sum M(|c_k|/a) <= 1 }; 0 for the zero sequence.
 
     The map a -> sum M(|c_k|/a) is nonincreasing, so bisection applies; safeguarded Newton
-    steps on log of the sum in log a (exact for t**p) close the bracket in 2-6 steps instead
-    of 40-48.  The result is the midpoint of the final bracket [lo, hi], hi - lo <= rtol * hi.
+    steps on log of the sum in log a (exact for t**p) close the bracket in at most 3 steps
+    under t**p and 6 under the other built-in gauges, instead of 40-48.  The result is the midpoint of the final bracket [lo, hi], hi - lo <= rtol * hi.
     """
     return _lux_norm(np.abs(f.as_arrays()[1]), phi, rtol)
 

@@ -534,3 +534,23 @@ def test_window_norms_and_moduli_do_not_depend_on_the_block_size(monkeypatch):
             assert orlicz._window_norms(members[0], phi, lo, np.inf, 1e-12).tolist() == windows
             for a, want in zip((1.0, 1100.0), moduli):
                 assert fracdiff._moduli(members[1:], phi, a, deltas, 64, 1e-12).tolist() == want
+
+
+
+@pytest.mark.parametrize("phi", [power(1.5), power(2), power(3)], ids=str)
+def test_flat_random_rows_close_in_three_gauge_evaluations_under_a_power(phi):
+    # the exact Newton guess can land one rounding short of the root; the nudge then straddles it
+    rows = np.random.default_rng(0).uniform(size=(16, 129))
+    g, calls = _counting(phi)
+    assert orlicz._lux_rows(rows, g).tolist() == orlicz._lux_rows(rows, phi).tolist()
+    assert calls[0] == 6  # three steps, each one eval and one right_derivative pass
+
+
+@pytest.mark.parametrize("phi", [power(2), exp_minus_one()], ids=str)
+def test_one_entry_rows_are_solved_without_evaluating_the_gauge(phi):
+    # under a closed-form inverse the bracket of a lone entry w is [w / M^-1(1), w / M^-1(1)]
+    w = np.array([0.7, 3.0, 1e-300, 1e300, 2.0 ** -1074])
+    g, calls = _counting(phi)
+    got = orlicz._lux_rows(w[:, None], g)
+    assert calls[0] == 0
+    assert got.tolist() == (w / phi.closed_form_inverse(1.0)).tolist()

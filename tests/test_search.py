@@ -147,3 +147,26 @@ def test_rows_of_a_batch_are_safeguarded_independently():
     guesses = np.array([0.3, np.nan, 2.0, 0.5])  # exact, none, outside, exact on the first midpoint
     lo, hi = _bisect(lambda x: (x >= roots, guesses), np.zeros(4), np.ones(4), 1e-12)
     assert np.all((lo < roots) & (roots <= hi) & (hi - lo <= 1e-12 * hi))
+
+
+@pytest.mark.parametrize("root", [1e-3, 0.05])
+def test_an_exact_guess_one_rounding_below_the_root_closes_in_three_calls(root):
+    # the guess leaves lo one rounding short of the root; a nudge sized by the far end would overshoot
+    above, seen = _counted(lambda x: (x >= root, np.nextafter(root, 0.0)))
+    lo, hi = _bisect(above, 0.0, 1.0, 1e-12)
+    assert len(seen) <= 3 and _holds(lo, hi, root, 1e-12)
+
+
+@pytest.mark.parametrize("guess", [True, False], ids=["guess", "bool"])
+def test_a_bracket_closed_on_entry_keeps_its_ends_and_is_never_evaluated(guess):
+    above, seen = _counted(lambda x: (x >= 0.3, 0.3) if guess else x >= 0.3)
+    lo, hi = 0.5, 0.5 + 2.0 ** -45  # hi - lo < 1e-12 * hi
+    assert _bisect(above, lo, hi, 1e-12) == (lo, hi) and seen == []
+
+
+def test_a_closed_bracket_beside_an_open_one_keeps_its_entry_ends_bit_for_bit():
+    roots = np.array([0.5, 0.3])
+    lo0, hi0 = np.array([0.5, 0.0]), np.array([np.nextafter(0.5, 1.0), 1.0])
+    lo, hi = _bisect(lambda x: (x >= roots, roots), lo0, hi0, 1e-12)
+    assert lo[0] == lo0[0] and hi[0] == hi0[0]
+    assert _holds(lo[1], hi[1], 0.3, 1e-12)
