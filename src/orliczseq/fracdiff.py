@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ._search import _zoom
-from .orlicz import _blocks, _lux_rows, luxemburg_norm
+from .orlicz import _blocks, _fold, _lux_rows, luxemburg_norm
 from .spectrum import CoeffSeq
 
 __all__ = [
@@ -118,7 +118,9 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     A norm depends only on its own row, so a member's moduli do not depend on what shares the batch,
     and a row is solved once however many brackets share it: a grid point that several deltas hold
     (a rates report's deltas 2**-3..2**-7 at grid 64 share 128 of their 320 grid rows).  A lone
-    member whose support holds +-k pairs computes one sine per distinct |k|.
+    member's rows fold (orlicz._fold) when it is real-valued, c_{-k} = conj(c_k): they are built on
+    the k >= 0 half, and each k > 0 counts twice.  Otherwise, when its support holds +-k pairs, it
+    computes one sine per distinct |k|.  Members that share a table are neither folded nor deduplicated.
     """
     deltas = np.asarray(deltas, dtype=float)
     if not np.all(np.isfinite(np.append(deltas, alpha))):
@@ -164,22 +166,26 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
             ks[r, :absc[m].size], rows[r, :absc[m].size] = fs[m].as_arrays()[0], np.ldexp(absc[m], -e[m])
         slot = np.full(len(fs), -1)  # each member's row in this table, -1 for the other members
         slot[members] = np.arange(len(members))
-        # A lone member whose support holds a +-k pair takes one sine per distinct |k|: h (-k) = -(h k)
-        # and sin is odd, so the -k entries get the +k bits.
-        uk, inv = np.unique(np.abs(ks[0]), return_inverse=True) if len(members) == 1 else (ks[0], None)
+        # A lone real-valued member folds (_fold): its rows are built on the k >= 0 half.  Any other lone member
+        # whose support holds a +-k pair takes one sine per distinct |k|: h (-k) = -(h k) and sin is odd, so the
+        # -k entries get the +k bits.
+        uk, row, pairs = _fold(ks[0], rows[0]) if len(members) == 1 else (ks[0], rows[0], 0)
+        rows = row[None] if pairs else rows
+        uk, inv = np.unique(np.abs(uk), return_inverse=True) if len(members) == 1 and not pairs else (uk, None)
         if uk.size == width:  # no +-k pair, or several members: the rows keep their own ks
             uk, inv = ks[0], None
-        tables.append((slot, ks, rows, uk, inv))
+        tables.append((slot, ks, rows, uk, inv, pairs))
 
     def norms(i, hs):
         """Shift norms at hs, each for the member of its bracket i."""
         m, sc, out = i // n, scale[i, None], np.empty(hs.size)
-        for slot, ks, rows, uk, inv in tables:
+        for slot, ks, rows, uk, inv, pairs in tables:
             at = np.flatnonzero(slot[m] >= 0)
             r = slot[m[at]]
-            for s in _blocks(at.size, ks.shape[1]):  # a lone member's rows need no gather of its support
+            for s in _blocks(at.size, rows.shape[1]):  # a lone member's rows need no gather of its support
                 k, a = (uk, rows[0]) if len(ks) == 1 else (ks[r[s]], rows[r[s]])
-                out[at[s]] = _lux_rows(_shift_rows(hs[at[s]], k, a, alpha, sc[at[s]], inv), phi, rtol=rtol)
+                out[at[s]] = _lux_rows(_shift_rows(hs[at[s]], k, a, alpha, sc[at[s]], inv), phi, rtol=rtol,
+                                       pairs=pairs)
         return out
 
     # The grid row of bracket i at h is fixed by (member, row scale, h), and deltas share grid points

@@ -43,9 +43,10 @@ __all__ = [
 INF = math.inf
 _DBL_MAX = np.finfo(float).max
 
-# Rows are built and solved in blocks of at most this many entries: a rates report over 8192
-# entries (grid 64) peaks at 37 MB with 2**17, 42 MB with 2**18 and 51 MB with 2**19, in about the
-# same time.  2**16 would add _lux_rows calls to a 16-member sweep's modulus.
+# Rows are built and solved in blocks of at most this many entries: the moduli of an unfolded
+# 8193-entry band at five deltas (grid 64) peak at 41 MB with 2**17, 45 MB with 2**18 and 53 MB with
+# 2**19, a rates report's folded 4097-entry rows at 36, 40 and 48 MB, in about the same time.
+# 2**16 would add _lux_rows calls to a 16-member sweep's modulus.
 _BLOCK_ENTRIES = 2 ** 17
 
 
@@ -260,8 +261,21 @@ def _gauge_inverse(phi, y, side):
     return float(hi if side == "upper" else lo)
 
 
-def _lux_rows(vals, phi, *, rtol=1e-12):
-    """Luxemburg norms of the rows of a nonnegative 2-d array."""
+def _fold(ks, w):
+    """(ks, w, pairs): the k >= 0 half and its count of k > 0 entries when ks == -ks[::-1] and w == w[::-1],
+    as for the |c_k| of a real-valued f on its ascending support; else ks, w and pairs = 0."""
+    # the ends turn away almost every input that does not fold, before any pass over it
+    ends = ks.size > 1 and ks[0] == -ks[-1] and w[0] == w[-1]
+    if ends and np.array_equal(ks, -ks[::-1]) and np.array_equal(w, w[::-1]):
+        return ks[ks.size // 2:], w[ks.size // 2:], ks.size // 2
+    return ks, w, 0
+
+
+def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0):
+    """Luxemburg norms of the rows of a nonnegative 2-d array whose last pairs columns count twice.
+
+    Doubling is exact, so a row folded by _fold sums to the same real numbers as the row it halves.
+    """
     vals = np.asarray(vals, dtype=float)
     out = np.zeros(vals.shape[0])
     row_max = vals.max(axis=1, initial=0.0)
@@ -270,6 +284,11 @@ def _lux_rows(vals, phi, *, rtol=1e-12):
         return out
     w = vals if active.all() else vals[active]
     buf = np.empty_like(w)  # w / a, reused by every step: fresh pages per step cost more than the step
+    n1 = w.shape[1] - pairs
+
+    def total(x):  # row sums, the last pairs columns twice
+        return x[:, :n1].sum(axis=1) + 2.0 * x[:, n1:].sum(axis=1) if pairs else x.sum(axis=1)
+
     # The solve runs on s = a / 2**e, 2**e the power of two that puts the row's largest entry in [1, 2).
     # The scaling is exact, and in s every bracket end and Newton guess stays within a factor of about
     # nnz of 1, so the guess cannot overflow; the ends are clamped to s_max, where a = s 2**e = DBL_MAX.
@@ -283,17 +302,17 @@ def _lux_rows(vals, phi, *, rtol=1e-12):
         # convexity, so the step is at most |log rho|.  A row whose rho underflows to 0 gets no guess (nan).
         # s >= lo keeps every u_k <= M^-1(1), so no term passes ~1 and nothing overflows.
         u = np.divide(w, np.ldexp(s, e)[:, None], out=buf)
-        rho = np.asarray(phi.eval(u), dtype=float).sum(axis=1)
+        rho = total(np.asarray(phi.eval(u), dtype=float))
         du = np.asarray(phi.right_derivative(u), dtype=float)
         du *= u
         log_rho = np.log(np.where(rho > 0, rho, np.nan))
-        return rho <= 1.0, s * np.exp(rho * log_rho / du.sum(axis=1))
+        return rho <= 1.0, s * np.exp(rho * log_rho / total(du))
 
     # Provable bracket, hi / lo <= nnz: at lo the largest term alone reaches 1; at hi each w_k / a is at
     # most u = M^-1(1) and they sum to u, so the chord M(x) <= x M(u) / u keeps the sum <= M(u) <= 1.
     # A root beyond the double range leaves hi at the clamp and is inf.
     lo = np.minimum(np.ldexp(top, -e) / _gauge_inverse(phi, 1.0, "upper"), s_max)
-    hi = np.minimum(np.ldexp(w, -e[:, None], out=buf).sum(axis=1) / _gauge_inverse(phi, 1.0, "lower"), s_max)
+    hi = np.minimum(total(np.ldexp(w, -e[:, None], out=buf)) / _gauge_inverse(phi, 1.0, "lower"), s_max)
     lo, hi = _bisect(fits, lo, hi, rtol)
     out[active] = np.where(hi < s_max, np.ldexp(0.5 * lo + 0.5 * hi, e), INF)
     return out
@@ -303,21 +322,24 @@ def _window_norms(f, phi, lo, hi, rtol, w=None):
     """Norms of w (default |c_k|) over each window lo_i <= |k| <= hi_i of f's support, as one batch.
 
     lo and hi broadcast.  Only entries inside some window are solved, in
-    order, so a single window solves exactly its own entries.
+    order, so a single window solves exactly its own entries.  Windows are
+    sets of |k|, so when those entries fold (_fold) every window's row does,
+    and a single window folds as luxemburg_norm folds the same entries.
     """
     ks, cs = f.as_arrays()
     absk, w = np.abs(ks), np.abs(cs) if w is None else w
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     keep = (absk >= lo.min()) & (absk <= hi.max())
-    w, absk = w[keep], absk[keep]
+    ks, w, pairs = _fold(ks[keep], w[keep])
+    absk = np.abs(ks)
     return np.concatenate([
-        _lux_rows(np.where((absk >= lo[s, None]) & (absk <= hi[s, None]), w, 0.0), phi, rtol=rtol)
+        _lux_rows(np.where((absk >= lo[s, None]) & (absk <= hi[s, None]), w, 0.0), phi, rtol=rtol, pairs=pairs)
         for s in _blocks(lo.size, w.size)])
 
 
-def _lux_norm(a, phi, rtol):
-    """Luxemburg norm of one nonnegative 1-d array; 0 when it is empty."""
-    return float(_lux_rows(a[None, :], phi, rtol=rtol)[0])
+def _lux_norm(a, phi, rtol, pairs=0):
+    """Luxemburg norm of one nonnegative 1-d array whose last pairs entries count twice; 0 when it is empty."""
+    return float(_lux_rows(a[None, :], phi, rtol=rtol, pairs=pairs)[0])
 
 
 def luxemburg_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
@@ -326,8 +348,11 @@ def luxemburg_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
     The map a -> sum M(|c_k|/a) is nonincreasing, so bisection applies; safeguarded Newton
     steps on log of the sum in log a (exact for t**p) close the bracket in at most 3 steps
     under t**p and 6 under the other built-in gauges, instead of 40-48.  The result is the midpoint of the final bracket [lo, hi], hi - lo <= rtol * hi.
+    A real-valued f (c_{-k} = conj(c_k)) is solved on its k >= 0 half, each k > 0 counted twice.
     """
-    return _lux_norm(np.abs(f.as_arrays()[1]), phi, rtol)
+    ks, cs = f.as_arrays()
+    _, w, pairs = _fold(ks, np.abs(cs))
+    return _lux_norm(w, phi, rtol, pairs)
 
 
 # -- Orlicz (dual) norm ----------------------------------------------------------

@@ -330,3 +330,15 @@ def test_band_checks_reject_an_empty_band_and_support_beyond_it(check):
         check(CoeffSeq({0: 1.0}), 0)
     with pytest.raises(ValueError, match=r"beyond \|k\| = 3"):
         check(CoeffSeq({1: 1.0, -4: 0.5}), 3)
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+def test_a_single_order_of_a_real_valued_f_is_its_tails_norm_bit_for_bit(phi):
+    # c_{-k} = conj(c_k): the E_n window and luxemburg_norm fold the same tail
+    rng = np.random.default_rng(63)
+    for band in (1, 7, 40):
+        ks = np.arange(1, band + 1)
+        c = (rng.standard_normal(band) + 1j * rng.standard_normal(band)) / ks
+        f = CoeffSeq.from_arrays(np.arange(-band, band + 1), np.concatenate([np.conj(c[::-1]), [1.5], c]))
+        ns = range(1, band + 3)
+        assert [best_approx(f, phi, n) for n in ns] == [luxemburg_norm(phi, tail(f, n)) for n in ns]

@@ -511,3 +511,64 @@ def test_rows_from_the_distinct_frequency_magnitudes_are_the_full_rows_bit_for_b
     uk, inv = np.unique(np.abs(ks), return_inverse=True)
     hs = np.array(hs)
     assert np.array_equal(fracdiff._shift_rows(hs, uk, absc, alpha, inv=inv), fracdiff._shift_rows(hs, ks, absc, alpha))
+
+
+def _real_band(band, seed):
+    """A real-valued f on the full band: c_{-k} = conj(c_k), so |c_k| pairs up bit for bit."""
+    rng = np.random.default_rng([band, seed])
+    ks = np.arange(1, band + 1)
+    c = (rng.standard_normal(band) + 1j * rng.standard_normal(band)) / (1.0 + ks)
+    return CoeffSeq.from_arrays(np.arange(-band, band + 1), np.concatenate([np.conj(c[::-1]), [0.5], c]))
+
+
+def _moduli_with_widths(monkeypatch, f, phi, alpha, deltas, grid):
+    """_moduli(...) together with the width and pairs of every batch passed to _lux_rows."""
+    widths, solve = [], fracdiff._lux_rows
+
+    def recorded(vals, phi, **kw):
+        widths.append((vals.shape[1], kw.get("pairs", 0)))
+        return solve(vals, phi, **kw)
+
+    monkeypatch.setattr(fracdiff, "_lux_rows", recorded)
+    return fracdiff._moduli(f, phi, alpha, deltas, grid, 1e-12), widths
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one()], ids=str)
+def test_a_real_valued_member_solves_the_half_of_its_shift_rows(monkeypatch, phi):
+    # k >= 0 only, each k > 0 counted twice: 4097 entries a row, not 8193
+    f, deltas = _real_band(4096, 0), [2.0 ** -3, 2.0 ** -5]
+    # a second member of the same size, with one unequal pair, puts f in a two-member table, which does not fold
+    ks, cs = f.as_arrays()
+    other = CoeffSeq.from_arrays(ks, np.where(ks == 7, 2.0 * cs, cs))
+    for alpha, g in ((0.5, f), (1.5, f), (1100.0, 2.0 ** -1000 * f)):
+        got, widths = _moduli_with_widths(monkeypatch, g, phi, alpha, deltas, 64)
+        assert set(widths) == {(4097, 4096)}
+        unfolded = fracdiff._moduli([g, 2.0 ** -1000 * other if alpha > 1022 else other], phi, alpha, deltas, 64,
+                                    1e-12)[0]
+        assert got.tolist() == pytest.approx(unfolded.tolist(), rel=1e-12, abs=0.0)
+        assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one()], ids=str)
+@pytest.mark.parametrize("case", ["unequal-pair", "missing-minus-k"])
+def test_a_member_that_does_not_fold_keeps_its_full_shift_rows(monkeypatch, phi, case):
+    f = _real_band(64, 1)
+    ks, cs = f.as_arrays()
+    if case == "unequal-pair":  # one magnitude off by one rounding
+        f = CoeffSeq.from_arrays(ks, np.where(ks == -3, cs * (1.0 + 2.0 ** -52), cs))
+    else:
+        f = CoeffSeq.from_arrays(ks[ks != -5], cs[ks != -5])
+    ks, absc = f.as_arrays()[0], np.abs(f.as_arrays()[1])
+    batches, solve = [], fracdiff._lux_rows
+
+    def recorded(vals, phi, **kw):
+        batches.append((vals.copy(), kw.get("pairs", 0)))
+        return solve(vals, phi, **kw)
+
+    monkeypatch.setattr(fracdiff, "_lux_rows", recorded)
+    for alpha in (0.5, 1.5):
+        batches.clear()
+        fracdiff._moduli(f, phi, alpha, [0.5], 64, 1e-12)
+        assert {pairs for _, pairs in batches} == {0}
+        # the first batch is the grid, one row per point in ascending h
+        assert np.array_equal(batches[0][0], fracdiff._shift_rows(np.linspace(0.0, 0.5, 64), ks, absc, alpha))

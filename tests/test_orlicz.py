@@ -554,3 +554,26 @@ def test_one_entry_rows_are_solved_without_evaluating_the_gauge(phi):
     got = orlicz._lux_rows(w[:, None], g)
     assert calls[0] == 0
     assert got.tolist() == (w / phi.closed_form_inverse(1.0)).tolist()
+
+
+@pytest.mark.parametrize("phi", [power(2), exp_minus_one(), power_log(2)], ids=str)
+@pytest.mark.parametrize("zero", [True, False], ids=["with-k0", "without-k0"])
+def test_folded_rows_match_their_doubled_rows(phi, zero):
+    # the last pairs columns count twice: the row [w_p .. w_1, (w_0,) w_1 .. w_p] halved
+    rng = np.random.default_rng(62)
+    half = np.abs(rng.standard_normal((12, 33))) * np.arange(1, 34) ** -rng.uniform(0.0, 3.0, (12, 1))
+    half[1] *= 1e-300
+    half[2] *= 1e300
+    half[3, 2:] = 0.0  # k = 0 and one pair, or one pair alone
+    half[4] = 0.0
+    half = half if zero else half[:, 1:]
+    pairs = 32
+    full = np.hstack([half[:, :-pairs - 1:-1], half])
+    assert full.shape[1] == (65 if zero else 64)
+    for rtol in (1e-12, 1e-14):
+        # each is the midpoint of a bracket of width rtol hi about the same root
+        folded, doubled = orlicz._lux_rows(half, phi, rtol=rtol, pairs=pairs), orlicz._lux_rows(full, phi, rtol=rtol)
+        assert folded.tolist() == pytest.approx(doubled.tolist(), rel=max(rtol, 1e-13), abs=0.0)
+        assert folded[4] == doubled[4] == 0.0
+    alone = [orlicz._lux_rows(r[None, :], phi, pairs=pairs)[0] for r in half]
+    assert orlicz._lux_rows(half, phi, pairs=pairs).tolist() == alone

@@ -7,6 +7,8 @@ The battery imports orliczseq from the ``src`` directory of the checkout it live
 compare two revisions copy this file into each checkout's ``tools`` directory and run it there.
 Recorded values, keyed ``kind|gauge|sequence|...``:
 
+* the sequences: ``band{4,16,64,128,1024}-s{0,1,2}``, full bands of complex normal draws; ``real64-s0``,
+  the full band 64 of a real-valued function (c_{-k} = conj(c_k)), whose rows fold; and four sparse ones;
 * ``lux``, ``dual``, ``en``: the Luxemburg norm, the dual norm and E_n at n = 1 + max|k| // 4;
   ``lux`` and ``dual`` also for three near-limit sequences whose sum of |c_k| overflows;
 * ``modulus``: at alpha in {0.5, 1, 2} and delta in {0.01, 0.1, 0.5, 1, 3}, grid 128, and at
@@ -17,8 +19,9 @@ Recorded values, keyed ``kind|gauge|sequence|...``:
 * ``modulus`` also as a sweep computes it: ``_moduli`` of one list of three members, the partial
   sums to |k| <= 6 of two band-16 draws and a band-4 draw padded to their 13 entries, at alpha in
   {1, 1100} and delta in {1, 3};
-* ``modulus`` also as a rates report computes it: one ``_moduli`` call on ``band1024-s0`` at alpha in
-  {1, 1.5}, grid 64 and delta = 2**-j for j in 3..7, whose grids share points; and one on
+* ``modulus`` also as a rates report computes it: one ``_moduli`` call on ``band1024-s0`` and one on
+  the rates model |k|**-1.5 on 0 < |k| <= 1024 (real-valued, so folded) at alpha in {1, 1.5}, grid 64
+  and delta = 2**-j for j in 3..7, whose grids share points; and one on
   ``{1: 1, 97: 0.5, 301: 0.2}`` at alpha = 1, grid 128 and deltas [1, pi, 4], which share the grid of pi;
 * ``k``, ``kdeg``: the K-functional value and minimizer_degree at alpha = 1, delta in {0.02, 0.3},
   polished and not, for sequences of band at most 128; ``k`` also polished at both deltas by one
@@ -76,8 +79,24 @@ def _draw(band, seed):
                                 / (1.0 + np.abs(ks)))
 
 
+def _real_draw(band, seed):
+    """Full band -band..band of a real-valued function: c_0 real and c_{-k} = conj(c_k), decaying like 1 / (1 + |k|)."""
+    rng = np.random.default_rng([band, seed, 1])
+    c = (rng.standard_normal(band) + 1j * rng.standard_normal(band)) / (2.0 + np.arange(band))
+    return CoeffSeq.from_arrays(np.arange(-band, band + 1),
+                                np.concatenate([np.conj(c[::-1]), [rng.standard_normal()], c]))
+
+
+def _rates_model(beta, band):
+    """c_k = |k|**(-beta - 1/2) on 0 < |k| <= band, the sequence of verify.rates_report."""
+    ks = np.arange(1, band + 1)
+    mags = ks.astype(float) ** (-beta - 0.5)
+    return CoeffSeq.from_arrays(np.concatenate([ks, -ks]), np.concatenate([mags, mags]))
+
+
 def sequences():
     seqs = {f"band{b}-s{s}": _draw(b, s) for b in (4, 16, 64, 128, 1024) for s in range(3)}
+    seqs["real64-s0"] = _real_draw(64, 0)
     for spec in ({1: 1, 4093: 0.3}, {1: 1, 97: 0.5, 301: 0.2}, {5: 1}, {0: 2, 3: 1}):
         seqs[json.dumps(spec).replace(" ", "")] = CoeffSeq(spec)
     return seqs
@@ -220,6 +239,9 @@ def battery():
             for d, v in zip(RATES_DELTAS, fracdiff._moduli(seqs["band1024-s0"], phi, a, RATES_DELTAS, 64,
                                                            1e-12).tolist()):
                 out[f"modulus|{gname}|band1024-s0|alpha={a}|deltas=rates|grid=64|delta={d}"] = v
+            for d, v in zip(RATES_DELTAS, fracdiff._moduli(_rates_model(1.0, 1024), phi, a, RATES_DELTAS, 64,
+                                                           1e-12).tolist()):
+                out[f"modulus|{gname}|rates(beta=1,band=1024)|alpha={a}|deltas=rates|grid=64|delta={d}"] = v
         sname = PAST_PI_SEQS[0]
         for d, v in zip((1.0, math.pi, 4.0), fracdiff._moduli(seqs[sname], phi, 1.0, [1.0, math.pi, 4.0], 128,
                                                               1e-12).tolist()):

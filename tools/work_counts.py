@@ -5,8 +5,10 @@
 
 For each workload of ``perfbench/workloads.py`` (imported as it is) this runs one round of its
 operations and prints one JSON line per workload: the ``_bisect`` calls made through
-``orlicz._bisect`` and their steps (calls of the test), and the gauge ``eval`` calls and the
-elements they were given.  The gauges are counting copies made with ``dataclasses.replace``:
+``orlicz._bisect`` and their steps (calls of the test), the rows and entries handed to
+``_lux_rows`` (spies on that name in ``orlicz``, ``fracdiff`` and ``kfunc``, as the tests use; a
+folded row counts its k >= 0 half), and the gauge ``eval`` calls and the elements they were
+given.  The gauges are counting copies made with ``dataclasses.replace``:
 ``eval_*`` counts the gauges the operations are handed, and ``cli_eval_*`` the ones the CLI
 operations build from their spec (``orlicz.from_spec`` is wrapped to return a copy).  A round
 that fills the package's caches (the numeric gauge inverse, per gauge copy) runs first and is
@@ -28,7 +30,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from orliczseq import orlicz  # noqa: E402
+from orliczseq import fracdiff, kfunc, orlicz  # noqa: E402
+
+SOLVERS = (orlicz, fracdiff, kfunc)  # the modules that call _lux_rows by that name
 
 
 def count_round(name, seed):
@@ -55,6 +59,16 @@ def count_round(name, seed):
             return above(x)
         return bisect(step, lo, hi, rtol)
 
+    def rows_spy(solve):
+        def counted(vals, phi, **kw):
+            counts["lux_rows"] += vals.shape[0]
+            counts["lux_entries"] += vals.size
+            return solve(vals, phi, **kw)
+        return counted
+
+    solves = [m._lux_rows for m in SOLVERS]
+    for m, solve in zip(SOLVERS, solves):
+        m._lux_rows = rows_spy(solve)
     orlicz._bisect, orlicz.from_spec = spy, lambda spec: gauge(from_spec(spec), "cli_")
     try:
         with tempfile.TemporaryDirectory() as workdir:
@@ -66,7 +80,10 @@ def count_round(name, seed):
                 op.run(gauge)
     finally:
         orlicz._bisect, orlicz.from_spec = bisect, from_spec
-    keys = ("bisect_calls", "bisect_steps", "eval_calls", "eval_elems", "cli_eval_calls", "cli_eval_elems")
+        for m, solve in zip(SOLVERS, solves):
+            m._lux_rows = solve
+    keys = ("bisect_calls", "bisect_steps", "lux_rows", "lux_entries", "eval_calls", "eval_elems", "cli_eval_calls",
+            "cli_eval_elems")
     return {"workload": name, "seed": seed, **{k: counts[k] for k in keys}}
 
 
