@@ -318,11 +318,13 @@ def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0):
     return out
 
 
-def _window_norms(f, phi, lo, hi, rtol, w=None):
+def _window_norms(f, phi, lo, hi, rtol, w=None, rows=None):
     """Norms of w (default |c_k|) over each window lo_i <= |k| <= hi_i of f's support, as one batch.
 
-    lo and hi broadcast.  Only entries inside some window are solved, in
-    order, so a single window solves exactly its own entries.  Windows are
+    lo and hi broadcast; rows, when given, indexes the windows to solve.  Only
+    entries inside some window of the whole broadcast are kept, in order, so a
+    single window solves exactly its own entries, and a window picked by rows
+    is solved on the row the whole batch gives it, with its bits.  Windows are
     sets of |k|, so when those entries fold (_fold) every window's row does,
     and a single window folds as luxemburg_norm folds the same entries.
     """
@@ -332,6 +334,8 @@ def _window_norms(f, phi, lo, hi, rtol, w=None):
     keep = (absk >= lo.min()) & (absk <= hi.max())
     ks, w, pairs = _fold(ks[keep], w[keep])
     absk = np.abs(ks)
+    if rows is not None:
+        lo, hi = lo[rows], hi[rows]
     return np.concatenate([
         _lux_rows(np.where((absk >= lo[s, None]) & (absk <= hi[s, None]), w, 0.0), phi, rtol=rtol, pairs=pairs)
         for s in _blocks(lo.size, w.size)])

@@ -393,3 +393,137 @@ def test_polished_k_functionals_are_the_single_k_functionals_bit_for_bit():
             alpha = float(rng.uniform(0.5, 2.0))
             batch = kfunc._k_functionals(f, phi, alpha, deltas, None, True, 1e-12)
             assert batch == [k_functional(f, phi, alpha, d) for d in deltas]
+
+
+# -- the pruned scan ---------------------------------------------------------------------
+
+
+def _full_scan(f, phi, alpha, deltas, rtol=1e-12, n_band=None):
+    """(value, minimizer_degree, candidates_tried) per delta from every radius's tail and head, as one batch each."""
+    absk, absc = map(np.abs, f.as_arrays())
+    n_band = f.max_freq if n_band is None else n_band
+    dpows = np.asarray(deltas, dtype=float) ** alpha
+    deriv_w = np.where((absk > 0) & (absk <= n_band), absk.astype(float) ** alpha, 0.0) * absc
+    degrees = np.array(sorted({-1, 0, *absk[absk <= n_band].tolist()}))
+    scan = (orlicz._window_norms(f, phi, degrees + 1, np.inf, rtol)
+            + dpows[:, None] * orlicz._window_norms(f, phi, 1, degrees, rtol, deriv_w))
+    best = scan.argmin(axis=1)
+    return [(float(scan[r, b]), int(degrees[b]), degrees.size) for r, b in enumerate(best)]
+
+
+def _band_draw(band, seed, real=False):
+    """Full band -band..band of complex normal amplitudes decaying like 1 / (1 + |k|); c_{-k} = conj(c_k) if real."""
+    rng = np.random.default_rng([band, seed])
+    ks = np.arange(-band, band + 1)
+    c = (rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)) / (1.0 + np.abs(ks))
+    if real:
+        c = np.where(ks >= 0, c, np.conj(c[::-1]))
+        c[band] = c[band].real
+    return CoeffSeq.from_arrays(ks, c)
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+@pytest.mark.parametrize("band,real", [(256, True), (1024, False)])
+def test_pruned_scan_is_the_full_scan_bit_for_bit(phi, band, real):
+    deltas = [1e-3, 1e-2, 0.1, 1.0]
+    f = _band_draw(band, 3, real)
+    for alpha in (0.5, 1.0, 2.0):
+        got = [(e.value, e.minimizer_degree, e.candidates_tried)
+               for e in kfunc._k_functionals(f, phi, alpha, deltas, None, False, 1e-12)]
+        assert got == _full_scan(f, phi, alpha, deltas)
+    for n_band in (1, 40, 300):  # a band below the support's: few radii, each row as wide as the support
+        got = [(e.value, e.minimizer_degree, e.candidates_tried)
+               for e in kfunc._k_functionals(f, phi, 1.0, deltas, n_band, False, 1e-12)]
+        assert got == _full_scan(f, phi, 1.0, deltas, n_band=n_band)
+
+
+def test_a_picked_window_has_the_bits_of_the_whole_batch():
+    f = _band_draw(256, 4, real=True)
+    rows = np.array([0, 5, 6, 100, 257])
+    for phi in (P2, exp_minus_one()):
+        for lo, hi, w in ((np.arange(-1, 257) + 1, np.inf, None),
+                          (1, np.arange(-1, 257), np.abs(f.as_arrays()[0]) * np.abs(f.as_arrays()[1]))):
+            whole = orlicz._window_norms(f, phi, lo, hi, 1e-12, w)
+            assert orlicz._window_norms(f, phi, lo, hi, 1e-12, w, rows).tolist() == whole[rows].tolist()
+
+
+def test_an_exact_power_1_tie_goes_to_the_smaller_degree(monkeypatch):
+    # under power(1) the norm is the sum, so with alpha = 1 radius m changes the objective by
+    # 2 |c_m| (delta m - 1): delta = 1 / 512 ties 511 and 512 in real arithmetic
+    p1, band, delta = power(1), 2048, 2.0 ** -9
+    rng = np.random.default_rng(45)
+    ks = np.arange(-band, band + 1)
+    mags = rng.integers(1, 8, band + 1) * 2.0 ** -12  # dyadic, so every sum below is exact
+    f = CoeffSeq.from_arrays(ks, np.concatenate([mags[:0:-1], mags]))
+
+    def exact_sums(f, phi, lo, hi, rtol, w=None, rows=None):
+        absk, a = np.abs(f.as_arrays()[0]), np.abs(f.as_arrays()[1]) if w is None else w
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        pick = slice(None) if rows is None else rows
+        return np.array([math.fsum(a[(absk >= l) & (absk <= h)]) for l, h in zip(lo[pick], hi[pick])])
+
+    with monkeypatch.context() as m:
+        m.setattr(kfunc, "_window_norms", exact_sums)
+        est = k_functional(f, p1, 1.0, delta, polish=False)
+        near = np.array([510, 511, 512, 513])
+        objective = (exact_sums(f, p1, near + 1, np.inf, 0.0)
+                     + delta * exact_sums(f, p1, 1, near, 0.0, np.abs(ks) * np.abs(f.as_arrays()[1]))).tolist()
+        assert objective[1] == objective[2] < min(objective[0], objective[3])
+        assert (est.minimizer_degree, est.value, est.candidates_tried) == (511, objective[1], band + 2)
+    # with the solver's own norms the tie is broken by rounding, exactly as the full scan breaks it
+    for d in (delta, 0.02):
+        est = k_functional(f, p1, 1.0, d, polish=False)
+        assert [(est.value, est.minimizer_degree, est.candidates_tried)] == _full_scan(f, p1, 1.0, [d])
+
+
+def test_a_band_4096_scan_solves_at_most_1000_rows(monkeypatch):
+    rows = []
+
+    def counted(vals, phi, **kw):
+        rows.append(vals.shape[0])
+        return lux_rows(vals, phi, **kw)
+
+    lux_rows = orlicz._lux_rows
+    monkeypatch.setattr(orlicz, "_lux_rows", counted)
+    est = k_functional(_band_draw(4096, 0), P2, 1.0, 1e-3, polish=False)
+    assert est.candidates_tried == 4098 and 0 < est.minimizer_degree < 4096  # an interior minimizer
+    assert sum(rows) <= 1000
+
+
+def test_a_real_valued_f_polishes_on_its_k_nonnegative_half(monkeypatch):
+    batches = []
+
+    def counted(vals, phi, **kw):
+        batches.append((vals.shape[1], kw.get("pairs", 0)))
+        return lux_rows(vals, phi, **kw)
+
+    lux_rows = kfunc._lux_rows
+    monkeypatch.setattr(kfunc, "_lux_rows", counted)
+    f = _band_draw(64, 5, real=True)
+    for phi in (P2, exp_minus_one(), power_log(2)):
+        batches.clear()
+        est = k_functional(f, phi, 1.0, 1.0 / 512)
+        assert est.refine_used and batches and set(batches) == {(65, 64)}
+    # the folded polish is the unfolded one within the solver's brackets
+    absk, absc = map(np.abs, f.as_arrays())
+    band, dpows = absk > 0, np.array([1.0 / 512])
+    deriv_w = np.where(band, absk.astype(float), 0.0) * absc
+    for phi in (P2, exp_minus_one(), power_log(2)):
+        folded = kfunc._polish(absc[64:], absk[64:], band[64:], 1.0, deriv_w[64:], dpows, phi, 1e-12, 64)
+        unfolded = kfunc._polish(absc, absk, band, 1.0, deriv_w, dpows, phi, 1e-12, 0)
+        assert folded.tolist() == pytest.approx(unfolded.tolist(), rel=1e-11, abs=0.0)
+
+
+def test_a_flat_stretch_of_ties_goes_to_its_first_radius():
+    # |c_k| below 1e-14 on 100 <= |k| <= 400 adds nothing to a power(2) norm of the rest, so the
+    # objectives across the stretch tie up to rounding, and bounds inside it come within rounding of best
+    band = 1024
+    ks = np.arange(-band, band + 1)
+    tiny = (np.abs(ks) >= 100) & (np.abs(ks) <= 400)
+    mags = np.where(tiny, 1e-14 * np.random.default_rng(46).random(ks.size), 1.0 / (1.0 + np.abs(ks)))
+    f = CoeffSeq.from_arrays(ks, np.where(ks < 0, mags[::-1], mags).astype(complex))
+    deltas = [1.0 / 250, 1.0 / 110, 1.0 / 390]
+    got = [(e.value, e.minimizer_degree, e.candidates_tried)
+           for e in kfunc._k_functionals(f, P2, 1.0, deltas, None, False, 1e-12)]
+    assert got == _full_scan(f, P2, 1.0, deltas)
+    assert all(100 <= d <= 400 for _, d, _ in got)

@@ -25,7 +25,8 @@ Recorded values, keyed ``kind|gauge|sequence|...``:
   ``{1: 1, 97: 0.5, 301: 0.2}`` at alpha = 1, grid 128 and deltas [1, pi, 4], which share the grid of pi;
 * ``k``, ``kdeg``: the K-functional value and minimizer_degree at alpha = 1, delta in {0.02, 0.3},
   polished and not, for sequences of band at most 128; ``k`` also polished at both deltas by one
-  ``_k_functionals`` call (``polish=batched``);
+  ``_k_functionals`` call (``polish=batched``); and unpolished for ``band1024-s{0,1,2}`` under
+  ``power(2)``, ``exp_minus_one`` and ``power_log(2)`` at delta in {1e-3, 0.02, 0.3};
 * ``binom``: binom(alpha, j) for 0 <= j <= alpha < 40 and a few fractional alpha;
 * ``cli``: the exit code and stdout of about 25 CLI invocations, run in-process in a temporary
   directory with relative file names, so the bytes do not depend on a path; among the input files
@@ -69,6 +70,8 @@ GAUGES = {
 }
 ALPHAS, DELTAS = (0.5, 1.0, 2.0), (0.01, 0.1, 0.5, 1.0, 3.0)
 K_DELTAS, K_BAND = (0.02, 0.3), 128
+# unpolished K at band 1024, where the scan leaves most radii unsolved
+WIDE_K_GAUGES, WIDE_K_DELTAS = ("power(2)", "exp_minus_one", "power_log(2)"), (1e-3, 0.02, 0.3)
 
 
 def _draw(band, seed):
@@ -211,6 +214,11 @@ def battery():
             for a in ALPHAS:
                 for d in DELTAS:
                     out[f"modulus|{key}|alpha={a}|delta={d}"] = fracdiff.modulus(f, phi, a, d, grid=128)
+            if sname.startswith("band1024-") and gname in WIDE_K_GAUGES:
+                for d in WIDE_K_DELTAS:
+                    est = kfunc.k_functional(f, phi, 1.0, d, polish=False)
+                    out[f"k|{key}|delta={d}|polish=False"] = est.value
+                    out[f"kdeg|{key}|delta={d}|polish=False"] = est.minimizer_degree
             if f.max_freq > K_BAND:
                 continue
             for d in K_DELTAS:

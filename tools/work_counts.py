@@ -7,13 +7,15 @@ For each workload of ``perfbench/workloads.py`` (imported as it is) this runs on
 operations and prints one JSON line per workload: the ``_bisect`` calls made through
 ``orlicz._bisect`` and their steps (calls of the test), the rows and entries handed to
 ``_lux_rows`` (spies on that name in ``orlicz``, ``fracdiff`` and ``kfunc``, as the tests use; a
-folded row counts its k >= 0 half), and the gauge ``eval`` calls and the elements they were
-given.  The gauges are counting copies made with ``dataclasses.replace``:
-``eval_*`` counts the gauges the operations are handed, and ``cli_eval_*`` the ones the CLI
-operations build from their spec (``orlicz.from_spec`` is wrapped to return a copy).  A round
-that fills the package's caches (the numeric gauge inverse, per gauge copy) runs first and is
-not counted, so the counts repeat exactly; no timer is read.  The package is imported from the
-``src`` directory of the checkout this file lives in.
+folded row counts its k >= 0 half), of them the K scan's rows (``kscan_rows``: those
+``_window_norms`` hands on while ``kfunc`` calls it) and the K polish's (``polish_rows``: those
+``kfunc`` hands on itself), and the gauge ``eval`` calls and the elements they were given.  The
+gauges are counting copies made with ``dataclasses.replace``: ``eval_*`` counts the gauges the
+operations are handed, and ``cli_eval_*`` the ones the CLI operations build from their spec
+(``orlicz.from_spec`` is wrapped to return a copy).  A round that fills the package's caches (the
+numeric gauge inverse, per gauge copy) runs first and is not counted, so the counts repeat
+exactly; no timer is read.  The package is imported from the ``src`` directory of the checkout
+this file lives in.
 """
 
 import argparse
@@ -59,16 +61,30 @@ def count_round(name, seed):
             return above(x)
         return bisect(step, lo, hi, rtol)
 
-    def rows_spy(solve):
+    in_scan = [False]  # inside a _window_norms call made by kfunc
+
+    def scan_spy(*args, **kw):
+        in_scan[0] = True
+        try:
+            return window_norms(*args, **kw)
+        finally:
+            in_scan[0] = False
+
+    def rows_spy(solve, module):
         def counted(vals, phi, **kw):
             counts["lux_rows"] += vals.shape[0]
             counts["lux_entries"] += vals.size
+            if module is kfunc:
+                counts["polish_rows"] += vals.shape[0]
+            elif in_scan[0]:
+                counts["kscan_rows"] += vals.shape[0]
             return solve(vals, phi, **kw)
         return counted
 
-    solves = [m._lux_rows for m in SOLVERS]
+    solves, window_norms = [m._lux_rows for m in SOLVERS], kfunc._window_norms
     for m, solve in zip(SOLVERS, solves):
-        m._lux_rows = rows_spy(solve)
+        m._lux_rows = rows_spy(solve, m)
+    kfunc._window_norms = scan_spy
     orlicz._bisect, orlicz.from_spec = spy, lambda spec: gauge(from_spec(spec), "cli_")
     try:
         with tempfile.TemporaryDirectory() as workdir:
@@ -79,11 +95,11 @@ def count_round(name, seed):
             for op in ops:
                 op.run(gauge)
     finally:
-        orlicz._bisect, orlicz.from_spec = bisect, from_spec
+        orlicz._bisect, orlicz.from_spec, kfunc._window_norms = bisect, from_spec, window_norms
         for m, solve in zip(SOLVERS, solves):
             m._lux_rows = solve
-    keys = ("bisect_calls", "bisect_steps", "lux_rows", "lux_entries", "eval_calls", "eval_elems", "cli_eval_calls",
-            "cli_eval_elems")
+    keys = ("bisect_calls", "bisect_steps", "lux_rows", "lux_entries", "kscan_rows", "polish_rows", "eval_calls",
+            "eval_elems", "cli_eval_calls", "cli_eval_elems")
     return {"workload": name, "seed": seed, **{k: counts[k] for k in keys}}
 
 
