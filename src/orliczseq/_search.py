@@ -61,23 +61,26 @@ def _bisect(above, lo, hi, rtol):
     return lo, hi
 
 
-def _zoom(values, c, w, gc, stop):
+def _zoom(values, c, w, gc, stop, split=2):
     """Zoom every bracket c_i -+ w_i onto the peak of its unimodal profile; returns the final (c, gc).
 
     c, w, gc (the profile at c, nan where unsolved) and stop broadcast.  A step takes the brackets
-    with w > stop, solves their unknown points among c and c -+ w / 2 with one values(i, pts) call
-    (i the bracket of each point), recentres each on its best point and halves w.  So gc never
-    falls, and the peak stays within w of c.
+    with w > stop, solves their unknown points among the 2 split - 1 points c + j w / split, |j| <
+    split, with one values(i, pts) call (i the bracket of each point), recentres each on its best
+    point and divides w by split: ceil(log_split(w / stop)) steps.  So gc never falls, and the peak
+    stays within w of c.  split = 2 evaluates c -+ w / 2 and halves w.
     """
     c, w, gc, stop = (np.array(x, dtype=float) for x in np.broadcast_arrays(c, w, gc, stop))
+    offsets = np.arange(1 - split, split) / split
     for _ in range(_MAX_ITER):
         o = np.flatnonzero(w > stop)
         if not o.size:
             break
-        pts = c[o, None] + np.outer(w[o], [-0.5, 0.0, 0.5])
-        vals = np.column_stack([np.full(o.size, np.nan), gc[o], np.full(o.size, np.nan)])
+        pts = c[o, None] + np.outer(w[o], offsets)
+        vals = np.full(pts.shape, np.nan)
+        vals[:, split - 1] = gc[o]
         todo = np.isnan(vals)
         vals[todo] = values(np.broadcast_to(o[:, None], todo.shape)[todo], pts[todo])
         j, r = vals.argmax(axis=1), np.arange(o.size)
-        c[o], gc[o], w[o] = pts[r, j], vals[r, j], w[o] / 2.0
+        c[o], gc[o], w[o] = pts[r, j], vals[r, j], w[o] / split
     return c, gc

@@ -53,7 +53,8 @@ def k_functional(f: CoeffSeq, phi, alpha: float, delta: float, n_band: int | Non
     the full scan's result bit for bit (_scan); ties go to h = 0, then to the
     smallest degree.  Phase two,
     enabled by `polish` unless h = 0 wins, zooms over log mu to half-width
-    sqrt(rtol) along the band shrinkages c_k f_k, c_k = 1 / (1 + (mu |k|**alpha)**q)
+    sqrt(rtol), in steps as wide as the support's size allows (_polish),
+    along the band shrinkages c_k f_k, c_k = 1 / (1 + (mu |k|**alpha)**q)
     on 0 < |k| <= n_band and c_0 = 1, with q = p / (p - 1) from the elasticity
     p = u M'(u) / M(u) at M(u) = 1, and keeps the smaller of the two values;
     for M(t) = t**p the band-limited minimizer is on this family.
@@ -133,7 +134,10 @@ def _scan(f, phi, degrees, deriv_w, dpows, rtol):
 def _polish(absc, absk, band, alpha, deriv_w, dpows, phi, rtol, pairs):
     """Least objective along the shrinkage family at each of dpows: one zoom over log mu, one batch a step.
 
-    The last pairs entries count twice, as in _lux_rows.
+    The last pairs entries count twice, as in _lux_rows.  Narrow rows cost a call, not their entries,
+    so a step samples 2 split - 1 points, split = max(2, 2**10 // n) at logical width n = absc.size
+    + pairs: 4 (split - 1) new rows a delta within about 2**12 entries, 4-5 steps at band 8 (not 25
+    halvings), halving from n = 342.  split depends on neither the deltas nor the folding.
     """
     u = _gauge_inverse(phi, 1.0, "upper")
     p = u * float(phi.right_derivative(u)) / float(phi.eval(u))  # the elasticity of M where M = 1
@@ -152,7 +156,7 @@ def _polish(absc, absk, band, alpha, deriv_w, dpows, phi, rtol, pairs):
     # 40 / q beyond the band's ends every c_k is within e**-40 of 0 or 1
     lo, hi = -la.max() - 40.0 / q, -la.min() + 40.0 / q
     return -_zoom(minus_objective, 0.5 * (lo + hi), 0.5 * (hi - lo), np.full(dpows.size, np.nan),
-                  math.sqrt(rtol))[1]
+                  math.sqrt(rtol), split=max(2, 2 ** 10 // (absc.size + pairs)))[1]
 
 
 def difference_derivative_bracket(tau: CoeffSeq, phi, alpha: float, n: int, h: float,

@@ -527,3 +527,45 @@ def test_a_flat_stretch_of_ties_goes_to_its_first_radius():
            for e in kfunc._k_functionals(f, P2, 1.0, deltas, None, False, 1e-12)]
     assert got == _full_scan(f, P2, 1.0, deltas)
     assert all(100 <= d <= 400 for _, d, _ in got)
+
+
+# -- the wide polish stencil -------------------------------------------------------------
+
+
+def test_the_polish_finds_a_shallow_dip_where_the_family_is_flat():
+    # the family is flat to solver noise for log mu < -6; halving steps there walked away from the dip
+    # near log mu = -4.71, whose value is the best of a 20,001-point scan over log mu in [-12, 4]
+    f = CoeffSeq({-4: -3.14445 + 0.185577j, 1: -0.638917 - 0.669456j, 4: -1.55467 - 1.31345j, 7: 0.3 - 0.2j})
+    assert k_functional(f, power(1.5), 2.0, 0.02, 2).value <= 4.233819510427517 * (1.0 + 1e-13)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_a_polished_k_at_band_8_takes_at_most_8_polish_solves(monkeypatch, real):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lux_rows(*args, **kwargs)
+
+    lux_rows = kfunc._lux_rows
+    monkeypatch.setattr(kfunc, "_lux_rows", counted)
+    f = _band_draw(8, 6, real)
+    for phi in (P2, exp_minus_one(), power_log(2)):
+        calls.clear()
+        est = k_functional(f, phi, 1.0, 1.0 / 64)
+        assert est.refine_used and 0 < len(calls) <= 8
+
+
+def test_the_polish_split_follows_the_logical_width_and_keeps_halving_from_band_256(monkeypatch):
+    splits = []
+
+    def spied(*args, **kwargs):
+        splits.append(kwargs["split"])
+        return zoom(*args, **kwargs)
+
+    zoom = kfunc._zoom
+    monkeypatch.setattr(kfunc, "_zoom", spied)
+    for band, real, split in ((8, False, 60), (8, True, 60), (256, False, 2)):
+        splits.clear()
+        assert k_functional(_band_draw(band, 7, real), P2, 1.0, 1e-3).refine_used
+        assert splits == [split]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,39 @@ def test_a_closed_bracket_beside_an_open_one_keeps_its_entry_ends_bit_for_bit():
     lo, hi = _bisect(lambda x: (x >= roots, roots), lo0, hi0, 1e-12)
     assert lo[0] == lo0[0] and hi[0] == hi0[0]
     assert _holds(lo[1], hi[1], 0.3, 1e-12)
+
+
+@pytest.mark.parametrize("m", [3, 8, 64])
+def test_a_wide_split_finds_interior_peaks_within_stop(m):
+    peaks = np.array([0.3, -0.7, 0.05, 0.999])
+    stop = np.array([1e-6, 1e-3, 1e-9, 1e-6])
+    values, _ = _recording(lambda i, x: -(x - peaks[i]) ** 2)
+    c, gc = _zoom(values, np.zeros(4), np.ones(4), np.full(4, np.nan), stop, split=m)
+    assert np.all(np.abs(c - peaks) <= stop)
+    assert np.all(gc == -(c - peaks) ** 2)
+
+
+@pytest.mark.parametrize("m", [3, 8, 64])
+def test_a_wide_split_ends_a_monotone_profile_within_stop_of_the_right_end(m):
+    values, _ = _recording(lambda i, x: x)
+    c, gc = _zoom(values, [0.0], [1.0], [np.nan], [1e-6], split=m)
+    assert 1.0 - 1e-6 <= c[0] <= 1.0 and gc[0] == c[0]
+
+
+@pytest.mark.parametrize("m", [3, 8, 64])
+def test_a_wide_split_takes_one_values_call_per_step_and_log_m_steps(m):
+    values, calls = _recording(lambda i, x: -(x - 0.2) ** 2)
+    w, stop = 1.0, 1e-6  # w / stop is no power of 3, 8 or 64, so rounding cannot move the count
+    _zoom(values, [0.0], [w], [np.nan], [stop], split=m)
+    assert len(calls) == math.ceil(math.log(w / stop, m))
+    assert [pts.size for _, pts in calls] == [2 * m - 1] + [2 * m - 2] * (len(calls) - 1)
+
+
+@pytest.mark.parametrize("m", [3, 8, 64])
+def test_a_wide_split_solves_a_nan_centre_in_the_first_call_and_a_known_one_never(m):
+    values, calls = _recording(lambda i, x: -np.abs(x))
+    _zoom(values, [0.25, 0.25], [1.0, 1.0], [np.nan, -0.25], [0.6, 0.6], split=m)
+    (i, pts), = calls  # one step: 1.0 > 0.6 >= 1 / m
+    grid = 0.25 + np.arange(1 - m, m) / m
+    assert i.tolist() == [0] * (2 * m - 1) + [1] * (2 * m - 2)
+    assert pts.tolist() == grid.tolist() + np.delete(grid, m - 1).tolist()

@@ -9,10 +9,10 @@ operations and prints one JSON line per workload: the ``_bisect`` calls made thr
 ``_lux_rows`` (spies on that name in ``orlicz``, ``fracdiff`` and ``kfunc``, as the tests use; a
 folded row counts its k >= 0 half), of them the K scan's rows (``kscan_rows``: those
 ``_window_norms`` hands on while ``kfunc`` calls it) and the K polish's (``polish_rows``: those
-``kfunc`` hands on itself), and the gauge ``eval`` calls and the elements they were given.  The
-gauges are counting copies made with ``dataclasses.replace``: ``eval_*`` counts the gauges the
-operations are handed, and ``cli_eval_*`` the ones the CLI operations build from their spec
-(``orlicz.from_spec`` is wrapped to return a copy).  A round that fills the package's caches (the
+``kfunc`` hands on itself, in ``polish_calls`` calls), and the gauge ``eval`` calls and the
+elements they were given.  The gauges are counting copies made with ``dataclasses.replace``:
+``eval_*`` counts the gauges the operations are handed, and ``cli_eval_*`` the ones the CLI
+operations build from their spec (``orlicz.from_spec`` is wrapped to return a copy).  A round that fills the package's caches (the
 numeric gauge inverse, per gauge copy) runs first and is not counted, so the counts repeat
 exactly; no timer is read.  The package is imported from the ``src`` directory of the checkout
 this file lives in.
@@ -75,6 +75,7 @@ def count_round(name, seed):
             counts["lux_rows"] += vals.shape[0]
             counts["lux_entries"] += vals.size
             if module is kfunc:
+                counts["polish_calls"] += 1
                 counts["polish_rows"] += vals.shape[0]
             elif in_scan[0]:
                 counts["kscan_rows"] += vals.shape[0]
@@ -98,8 +99,8 @@ def count_round(name, seed):
         orlicz._bisect, orlicz.from_spec, kfunc._window_norms = bisect, from_spec, window_norms
         for m, solve in zip(SOLVERS, solves):
             m._lux_rows = solve
-    keys = ("bisect_calls", "bisect_steps", "lux_rows", "lux_entries", "kscan_rows", "polish_rows", "eval_calls",
-            "eval_elems", "cli_eval_calls", "cli_eval_elems")
+    keys = ("bisect_calls", "bisect_steps", "lux_rows", "lux_entries", "kscan_rows", "polish_calls",
+            "polish_rows", "eval_calls", "eval_elems", "cli_eval_calls", "cli_eval_elems")
     return {"workload": name, "seed": seed, **{k: counts[k] for k in keys}}
 
 
