@@ -106,6 +106,10 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
     bracket's centre and its ends and centres a bracket half as wide on the best
     of the three, until it is narrower than sqrt(rtol) / max|k|.  The result is
     the largest norm met, so always a lower bound for the supremum.
+
+    Every term |2 sin(hk/2)|**alpha |c_k| of a shift row rises on [0, pi/|k|].  So when
+    delta <= pi/max|k|, or when f has a single nonzero |k|, the norm peaks at
+    h* = min(delta, pi/max|k|), and its norm there is returned, exact to rtol: no grid, no zoom.
     """
     return float(_moduli(f, phi, alpha, [delta], grid, rtol)[0])
 
@@ -115,6 +119,8 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
 
     The grid and each zoom step are one batch for all members and deltas, whose brackets are the
     pairs (member, delta), each with its member's row scale and stop width and its own exponent d.
+    A certified bracket, whose peak is h* = min(delta, pi/max|k|) (see modulus), solves only its
+    row at h*, in the grid's call, and never enters the zoom.
     A norm depends only on its own row, so a member's moduli do not depend on what shares the batch,
     and a row is solved once however many brackets share it: a grid point that several deltas hold
     (a rates report's deltas 2**-3..2**-7 at grid 64 share 128 of their 320 grid rows).  A lone
@@ -188,26 +194,31 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
                                        pairs=pairs)
         return out
 
+    # A certified bracket, delta <= pi/max|k| or a member with one nonzero |k|, peaks at h* = min(delta,
+    # pi/max|k|) (see modulus): it takes h* in every grid column, which the dedupe below solves as one row.
+    dd, crest = np.tile(deltas, len(fs)), np.repeat(math.pi / np.maximum(freqs, 1), n)
+    lone = [np.abs(g.as_arrays()[0]).min(initial=k, where=g.as_arrays()[0] != 0) == k for g, k in zip(fs, freqs)]
+    sure = (dd <= crest) | np.repeat(lone, n)
+    hs = np.where(sure[:, None], np.minimum(dd, crest)[:, None], np.linspace(0.0, dd, grid, axis=1))
     # The grid row of bracket i at h is fixed by (member, row scale, h), and deltas share grid points
     # (t and t / 2 share half of them, every delta >= pi all): each distinct key is solved once.
     i = np.repeat(np.arange(len(fs) * n), grid)
-    keys = (np.tile(np.linspace(0.0, deltas, grid, axis=1).ravel(), len(fs)), scale[i], i // n)
+    keys = (hs.ravel(), scale[i], i // n)
     order = np.lexsort(keys)
     new = np.ones(i.size, dtype=bool)
     new[1:] = np.any([x[order[1:]] != x[order[:-1]] for x in keys], axis=0)
     run = np.empty(i.size, dtype=int)  # each grid point's key among the distinct ones
     run[order] = np.cumsum(new) - 1
     g = norms(i[order[new]], keys[0][order[new]])[run].reshape(-1, grid)
-    dd = np.tile(deltas, len(fs))
     i, step = g.argmax(axis=1), dd / (grid - 1)
     best = g[np.arange(g.shape[0]), i]
     # the bracket c -+ w and its centre's norm gc, unsolved (nan) in the last cell; g[:, 0] = 0 (h = 0)
     edge = i == grid - 1
     c = np.minimum(i * step, dd - step / 2.0)
     w, gc = np.where(edge, step / 2.0, step), np.where(edge, np.nan, best)
-    # Near an interior maximum the norm is quadratic in h on the scale 1 / max|k| of its fastest
-    # harmonic, so this pins it to ~rtol; all-zero norms (underflow at a large alpha) need no zoom.
-    stop = np.where(best > 0.0, math.sqrt(rtol) / (2.0 * np.repeat(np.maximum(freqs, 1), n)), np.inf)
+    # Near an interior maximum the norm is quadratic in h on the scale 1 / max|k| of its fastest harmonic,
+    # so this pins it to ~rtol; all-zero norms (underflow at a large alpha) and certified brackets need no zoom.
+    stop = np.where((best > 0.0) & ~sure, math.sqrt(rtol) / (2.0 * np.repeat(np.maximum(freqs, 1), n)), np.inf)
     peak = np.fmax(best, _zoom(norms, c, w, gc, stop)[1])
     with np.errstate(over="ignore"):  # a modulus beyond the double range is inf
         out = np.where(d > 2200, np.inf, np.ldexp(peak, np.repeat(e, n) + d)).reshape(-1, n)

@@ -572,3 +572,77 @@ def test_a_member_that_does_not_fold_keeps_its_full_shift_rows(monkeypatch, phi,
         assert {pairs for _, pairs in batches} == {0}
         # the first batch is the grid, one row per point in ascending h
         assert np.array_equal(batches[0][0], fracdiff._shift_rows(np.linspace(0.0, 0.5, 64), ks, absc, alpha))
+
+
+# -- certified peaks ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("k", [1, 3, 64, 4093])
+def test_a_lone_harmonic_past_its_crest_has_the_modulus_two_to_the_alpha_exactly(k, alpha, p):
+    # |2 sin(h k / 2)|**alpha |c| peaks at h = pi / k, where it is 2**alpha, and the power(p) norm of a
+    # one-entry row is the entry itself
+    for c in (1.0, -1.0, 1j):
+        for delta in (math.pi / k, 1.1 * math.pi / k, 1.5 * math.pi / k, 4.0):
+            assert modulus(CoeffSeq({k: c}), power(p), alpha, delta) == 2.0 ** alpha
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+@pytest.mark.parametrize("spec, k", [({64: 1}, 64), ({3: 1, -3: 0.5j}, 3), ({0: 2, 5: 1}, 5)],
+                         ids=["one-harmonic", "unequal-pair", "with-constant"])
+def test_a_member_with_one_frequency_magnitude_solves_one_row_per_peak_shift(monkeypatch, phi, spec, k):
+    # every delta peaks at min(delta, pi / k): one _lux_rows call, one row per distinct peak shift, no zoom
+    deltas = [0.25 / k, 0.5 / k, math.pi / k, 2.0 / k * math.pi, 3.0, 100.0]
+    rows, opened, solve, zoom = [], [], fracdiff._lux_rows, fracdiff._zoom
+
+    def counted(vals, phi, **kw):
+        rows.append(vals.shape[0])
+        return solve(vals, phi, **kw)
+
+    def zoom_without_values(values, *args, **kw):
+        def spied(*a):
+            opened.append(a)
+            return values(*a)
+        return zoom(spied, *args, **kw)
+
+    monkeypatch.setattr(fracdiff, "_lux_rows", counted)
+    monkeypatch.setattr(fracdiff, "_zoom", zoom_without_values)
+    for alpha in (0.5, 1.5):
+        rows.clear()
+        got = fracdiff._moduli(CoeffSeq(spec), phi, alpha, deltas, 64, 1e-12)
+        assert rows == [3] and not opened
+        assert got[2:].tolist() == [got[2]] * 4 and got[0] < got[1] < got[2]
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+def test_inside_the_first_quarter_wave_the_modulus_is_the_norm_of_the_row_at_delta(phi):
+    # delta max|k| <= pi: every term rises on [0, delta]; the member is complex, so its rows do not fold
+    rng = np.random.default_rng(70)
+    ks = np.arange(1, 9)
+    absc = np.abs(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    f = CoeffSeq.from_arrays(ks, absc * np.exp(2j * np.pi * rng.uniform(size=8)))
+    absc = np.abs(f.as_arrays()[1])
+    for alpha in (0.5, 1.0, 2.0):
+        for delta in (0.05, math.pi / 8):
+            got = modulus(f, phi, alpha, delta)
+            assert got == orlicz._lux_rows(fracdiff._shift_rows(np.array([delta]), ks, absc, alpha), phi,
+                                           rtol=1e-12)[0]
+            dense = orlicz._lux_rows(fracdiff._shift_rows(np.linspace(0.0, delta, 4096), ks, absc, alpha), phi,
+                                     rtol=1e-12)
+            assert got >= dense.max() - 1e-12
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+def test_swept_moduli_certified_at_some_deltas_are_the_single_moduli_bit_for_bit(phi):
+    # the band-4 member is certified up to pi / 4, the 9-entry one up to pi / max|k|, the pair and the
+    # harmonic beside a constant at every delta; equal sizes share a table unpadded
+    rng = np.random.default_rng(71)
+    sparse = np.sort(rng.choice(np.arange(-40, 41), 9, replace=False))
+    members = [CoeffSeq.from_arrays(ks, rng.standard_normal(9) + 1j * rng.standard_normal(9))
+               for ks in (np.arange(-4, 5), sparse)] + [CoeffSeq({3: 1, -3: 0.5j}), CoeffSeq({0: 2, 5: 1})]
+    deltas = [0.05, 0.5, 1.0, 3.0]
+    for alpha in (1.5, 1100.0):
+        batch = fracdiff._moduli(members, phi, alpha, deltas, 64, 1e-12)
+        for f, got in zip(members, batch):
+            assert got.tolist() == [modulus(f, phi, alpha, d, grid=64) for d in deltas]

@@ -16,6 +16,9 @@ Recorded values, keyed ``kind|gauge|sequence|...``:
   {1025, 1100, 2000}, delta = 3.14159, and ``{1: 1, 3: 0.5}`` at alpha = 1100, delta = 3;
 * ``modulus`` also at alpha = 1, grid 128 and delta in {pi, 4, 1e15} for ``{1: 1, 97: 0.5, 301: 0.2}``
   and ``band64-s0``: the shift norm is 2 pi-periodic in h, so each delta past pi must give the value at pi;
+* ``modulus`` also where it peaks at a known shift, at alpha in {0.5, 1, 2} and grid 128: ``{64:1}``,
+  ``{-3:0.5j,3:1}`` (an unequal +-k pair) and ``{0:2,4093:-1}``, one nonzero |k| each, at deltas on both
+  sides of pi/|k|, and ``band8-s0`` at delta in {pi/16, pi/8}, where no term passes its crest;
 * ``modulus`` also as a sweep computes it: ``_moduli`` of one list of three members, the partial
   sums to |k| <= 6 of two band-16 draws and a band-4 draw padded to their 13 entries, at alpha in
   {1, 1100} and delta in {1, 3};
@@ -117,6 +120,12 @@ PAST_PI_SEQS, PAST_PI_DELTAS = ('{"1":1,"97":0.5,"301":0.2}', "band64-s0"), (mat
 
 # deltas of the rates-report moduli, each grid sharing half its points with the next
 RATES_DELTAS = [2.0 ** -j for j in range(3, 8)]
+
+# sequence and deltas for the moduli that peak at min(delta, pi/max|k|): one nonzero |k|, or delta max|k| <= pi
+PEAKED = {"{64:1}": (CoeffSeq({64: 1}), (0.01, math.pi / 64, 0.1, 1.0)),
+          "{-3:0.5j,3:1}": (CoeffSeq({-3: 0.5j, 3: 1}), (0.5, math.pi / 3, 2.0, 3.0)),
+          "{0:2,4093:-1}": (CoeffSeq({0: 2, 4093: -1}), (1e-4, math.pi / 4093, 0.01, 3.0)),
+          "band8-s0": (_draw(8, 0), (math.pi / 16, math.pi / 8))}
 
 # (sequence, alpha, delta) for the large-order moduli
 LARGE_ORDERS = [({1: 1e-300}, a, 3.14159) for a in (1025.0, 1100.0, 2000.0)] + [({1: 1, 3: 0.5}, 1100.0, 3.0)]
@@ -232,6 +241,10 @@ def battery():
             for d in PAST_PI_DELTAS:
                 out[f"modulus|{gname}|{sname}|alpha=1.0|delta={d}"] = fracdiff.modulus(seqs[sname], phi, 1.0, d,
                                                                                      grid=128)
+        for sname, (f, deltas) in PEAKED.items():
+            for a in ALPHAS:
+                for d in deltas:
+                    out[f"modulus|{gname}|{sname}|alpha={a}|delta={d}"] = fracdiff.modulus(f, phi, a, d, grid=128)
         for sname, f in near_limit().items():
             out[f"lux|{gname}|{sname}"] = orlicz.luxemburg_norm(phi, f)
             out[f"dual|{gname}|{sname}"] = orlicz.orlicz_norm(phi, f)

@@ -7,7 +7,8 @@ For each workload of ``perfbench/workloads.py`` (imported as it is) this runs on
 operations and prints one JSON line per workload: the ``_bisect`` calls made through
 ``orlicz._bisect`` and their steps (calls of the test), the rows and entries handed to
 ``_lux_rows`` (spies on that name in ``orlicz``, ``fracdiff`` and ``kfunc``, as the tests use; a
-folded row counts its k >= 0 half), of them the K scan's rows (``kscan_rows``: those
+folded row counts its k >= 0 half), of them the modulus's (``modulus_calls`` and ``modulus_rows``:
+the calls and rows ``fracdiff`` hands on), the K scan's rows (``kscan_rows``: those
 ``_window_norms`` hands on while ``kfunc`` calls it) and the K polish's (``polish_rows``: those
 ``kfunc`` hands on itself, in ``polish_calls`` calls), and the gauge ``eval`` calls and the
 elements they were given.  The gauges are counting copies made with ``dataclasses.replace``:
@@ -74,7 +75,10 @@ def count_round(name, seed):
         def counted(vals, phi, **kw):
             counts["lux_rows"] += vals.shape[0]
             counts["lux_entries"] += vals.size
-            if module is kfunc:
+            if module is fracdiff:
+                counts["modulus_calls"] += 1
+                counts["modulus_rows"] += vals.shape[0]
+            elif module is kfunc:
                 counts["polish_calls"] += 1
                 counts["polish_rows"] += vals.shape[0]
             elif in_scan[0]:
@@ -99,8 +103,8 @@ def count_round(name, seed):
         orlicz._bisect, orlicz.from_spec, kfunc._window_norms = bisect, from_spec, window_norms
         for m, solve in zip(SOLVERS, solves):
             m._lux_rows = solve
-    keys = ("bisect_calls", "bisect_steps", "lux_rows", "lux_entries", "kscan_rows", "polish_calls",
-            "polish_rows", "eval_calls", "eval_elems", "cli_eval_calls", "cli_eval_elems")
+    keys = ("bisect_calls", "bisect_steps", "lux_rows", "lux_entries", "modulus_calls", "modulus_rows", "kscan_rows",
+            "polish_calls", "polish_rows", "eval_calls", "eval_elems", "cli_eval_calls", "cli_eval_elems")
     return {"workload": name, "seed": seed, **{k: counts[k] for k in keys}}
 
 
