@@ -102,10 +102,14 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
     alpha = 0 returns the plain norm of f.  The shift norm is even and 2 pi-periodic
     in h, so the search runs over [0, min(delta, pi)]: a uniform grid of `grid`
     points, then a zoom on the bracket around the best grid shift (the last cell
-    when that is min(delta, pi)).  Each step solves the midpoints between the
-    bracket's centre and its ends and centres a bracket half as wide on the best
-    of the three, until it is narrower than sqrt(rtol) / max|k|.  The result is
-    the largest norm met, so always a lower bound for the supremum.
+    when that is min(delta, pi)).  The zoom walks the halving zoom's path (solve
+    the midpoints between the bracket's centre and its ends, centre a bracket half
+    as wide on the best of the three) with the norm's exact slope at every point.
+    Once the slope is > 0 and < 0 at the ends of a bracket with no sine zero of a
+    term inside, the peak is a root of the slope, which a few interpolation steps
+    find; in the last cell, a bound on the slope that proves the norm rising up to
+    delta ends the walk.  The result is the largest norm met, each within rtol / 2
+    of its row's norm: at most about sup (1 + rtol / 2).
 
     Every term |2 sin(hk/2)|**alpha |c_k| of a shift row rises on [0, pi/|k|].  So when
     delta <= pi/max|k|, or when f has a single nonzero |k|, the norm peaks at
@@ -120,7 +124,9 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     The grid and each zoom step are one batch for all members and deltas, whose brackets are the
     pairs (member, delta), each with its member's row scale and stop width and its own exponent d.
     A certified bracket, whose peak is h* = min(delta, pi/max|k|) (see modulus), solves only its
-    row at h*, in the grid's call, and never enters the zoom.
+    row at h*, in the grid's call, and never enters the zoom.  The zoom (_search._sign_zoom) gets
+    each point's norm, slope, rise bound and reach to the next sine zero from _slopes: only the
+    zoom's rows pay for them, not the grid's.
     A norm depends only on its own row, so a member's moduli do not depend on what shares the batch,
     and a row is solved once however many brackets share it: a grid point that several deltas hold
     (a rates report's deltas 2**-3..2**-7 at grid 64 share 128 of their 320 grid rows).  A lone
@@ -182,17 +188,24 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
             uk, inv = ks[0], None
         tables.append((slot, ks, rows, uk, inv, pairs))
 
-    def norms(i, hs):
-        """Shift norms at hs, each for the member of its bracket i."""
-        m, sc, out = i // n, scale[i, None], np.empty(hs.size)
+    def norms(i, hs, slopes=False):
+        """Shift norms at hs, each for the member of its bracket i; with slopes, _slopes's four arrays, where an
+        edge bracket's points are bounded up to its delta."""
+        m, sc, out = i // n, scale[i, None], np.empty((4, hs.size) if slopes else hs.size)
+        ends = np.where(edge[i] & (hs < dd[i]), dd[i], hs) if slopes else None
         for slot, ks, rows, uk, inv, pairs in tables:
             at = np.flatnonzero(slot[m] >= 0)
             r = slot[m[at]]
-            for s in _blocks(at.size, rows.shape[1]):  # a lone member's rows need no gather of its support
+            # a lone member's rows need no gather of its support; a slopes block holds a quarter of the rows, as
+            # _slopes adds two bound rows per edge point and keeps several arrays of the rows' size
+            for s in _blocks(at.size, rows.shape[1] * (4 if slopes else 1)):
                 k, a = (uk, rows[0]) if len(ks) == 1 else (ks[r[s]], rows[r[s]])
-                out[at[s]] = _lux_rows(_shift_rows(hs[at[s]], k, a, alpha, sc[at[s]], inv), phi, rtol=rtol,
-                                       pairs=pairs)
-        return out
+                h = hs[at[s]]
+                if slopes:
+                    out[:, at[s]] = _slopes(h, k, a, alpha, phi, rtol, sc[at[s]], inv, pairs, ends[at[s]])
+                else:
+                    out[at[s]] = _lux_rows(_shift_rows(h, k, a, alpha, sc[at[s]], inv), phi, rtol=rtol, pairs=pairs)
+        return (out[0], out[1], out[2] > 0, out[3]) if slopes else out
 
     # A certified bracket, delta <= pi/max|k| or a member with one nonzero |k|, peaks at h* = min(delta,
     # pi/max|k|) (see modulus): it takes h* in every grid column, which the dedupe below solves as one row.
@@ -219,10 +232,56 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     # Near an interior maximum the norm is quadratic in h on the scale 1 / max|k| of its fastest harmonic,
     # so this pins it to ~rtol; all-zero norms (underflow at a large alpha) and certified brackets need no zoom.
     stop = np.where((best > 0.0) & ~sure, math.sqrt(rtol) / (2.0 * np.repeat(np.maximum(freqs, 1), n)), np.inf)
-    peak = np.fmax(best, _zoom(norms, c, w, gc, stop)[1])
+    peak = np.fmax(best, _zoom(lambda b, h: norms(b, h, True), c, w, gc, stop)[1])
     with np.errstate(over="ignore"):  # a modulus beyond the double range is inf
         out = np.where(d > 2200, np.inf, np.ldexp(peak, np.repeat(e, n) + d)).reshape(-1, n)
     return out[0] if isinstance(f, CoeffSeq) else out
+
+
+def _slopes(hs, ks, absc, alpha, phi, rtol, scale=2.0, inv=None, pairs=0, ends=None):
+    """(norm, slope, rise, smooth) per shift h of the rows _shift_rows(hs, ks, absc, alpha, scale, inv), whose
+    last pairs columns count twice (as in _lux_rows): N(h), N'(h), whether N provably rises on [h, end] (False
+    where ends is None or end <= h), and the distance from h to the next sine zero of a term on its right.
+
+    Differentiating sum_k M(r_k / N) = 1 in h gives N' / N = (alpha / 2) sum v_k |k| cot(h|k| / 2) / sum v_k,
+    with u_k = r_k / N and v_k = u_k M'(u_k); nan where N = 0.  A term's zero can be a kink of N, so N is
+    smooth only between zeros.  Over [h, end] with no sine zero inside, each |k| cot falls, so its value at
+    end bounds it below; r_k lies between its end values (up to its crest when one is inside), and N between
+    the norms of those termwise minimum and maximum rows, solved with the rows in one _lux_rows call, which
+    bound each v_k.  From alpha = 1 on, |v_k |k| cot| <= |k| v_k,max / |sin|_max bounds a term with a zero
+    inside too.  A positive sum of the term bounds proves the rise.
+    """
+    ends, scale = hs if ends is None else ends, np.broadcast_to(scale, (hs.size, 1))
+    q = ends > hs
+    kq, aq = (ks, absc) if np.ndim(ks) == 1 else (ks[q], absc[q])
+    rows, far = _shift_rows(hs, ks, absc, alpha, scale, inv), _shift_rows(ends[q], kq, aq, alpha, scale[q], inv)
+    th, te = _angles(hs, ks, inv), _angles(ends[q], kq, inv)
+    crest = np.floor(th[q] / np.pi + 0.5) != np.floor(te / np.pi + 0.5)
+    low, high = np.minimum(rows[q], far), np.where(crest, scale[q] ** alpha * aq, np.maximum(rows[q], far))
+    lo, hi = _lux_rows(np.concatenate([rows, low, high]), phi, rtol=rtol, pairs=pairs, ends=True)
+    n, wt = hs.size, np.ones(rows.shape[1])
+    wt[wt.size - pairs:] = 2.0
+    norm, rise = 0.5 * lo[:n] + 0.5 * hi[:n], np.zeros(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = rows / norm[:, None]
+        v *= phi.right_derivative(v)
+        cot = 2.0 * th / (hs[:, None] * np.tan(th))  # |k| cot(h|k| / 2)
+        slope = norm * (0.5 * alpha) * (wt * np.where(v > 0, v * cot, 0.0)).sum(axis=1) / (wt * v).sum(axis=1)
+        vlo, vhi = (u * phi.right_derivative(u) for u in (low / hi[n + q.sum():, None], high / lo[n:n + q.sum(), None]))
+        cot, k = 2.0 * te / (ends[q, None] * np.tan(te)), 2.0 * te / ends[q, None]
+        bound = np.where(np.floor(th[q] / np.pi) == np.floor(te / np.pi), cot * np.where(cot >= 0, vlo, vhi), -np.inf)
+        if alpha >= 1:
+            top = np.where(crest, 1.0, np.maximum(np.abs(np.sin(th[q])), np.abs(np.sin(te))))
+            bound = np.maximum(bound, -k * vhi / top)
+        rise[q] = (wt * np.where(high > 0, bound, 0.0)).sum(axis=1) > 0
+        gap = ((np.floor(th / np.pi) + 1.0) * np.pi - th) * hs[:, None] / th  # to the next sine zero on the right
+    return norm, slope, rise, np.where(rows > 0, gap, np.inf).min(axis=1, initial=np.inf)
+
+
+def _angles(hs, ks, inv=None):
+    """h |k| / 2 for every entry of the rows _shift_rows builds."""
+    out = np.abs(hs[:, None] * ks) * 0.5
+    return out if inv is None else np.take(out, inv, axis=1)
 
 
 def _shift_rows(hs, ks, absc, alpha, scale=2.0, inv=None):

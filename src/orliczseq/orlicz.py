@@ -271,17 +271,20 @@ def _fold(ks, w):
     return ks, w, 0
 
 
-def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0):
+def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0, ends=False):
     """Luxemburg norms of the rows of a nonnegative 2-d array whose last pairs columns count twice.
 
     Doubling is exact, so a row folded by _fold sums to the same real numbers as the row it halves.
+    Each norm is the midpoint of a bracket lo <= norm <= hi, hi - lo <= rtol hi, exact up to the
+    rounding of the sums of M (about 13 ulps at 8193 entries); with ends, (lo, hi) is returned
+    instead, hi = inf at the clamp.
     """
     vals = np.asarray(vals, dtype=float)
     out = np.zeros(vals.shape[0])
     row_max = vals.max(axis=1, initial=0.0)
     active = row_max > 0
     if not active.any():
-        return out
+        return (out, out.copy()) if ends else out
     w = vals if active.all() else vals[active]
     buf = np.empty_like(w)  # w / a, reused by every step: fresh pages per step cost more than the step
     n1 = w.shape[1] - pairs
@@ -314,6 +317,10 @@ def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0):
     lo = np.minimum(np.ldexp(top, -e) / _gauge_inverse(phi, 1.0, "upper"), s_max)
     hi = np.minimum(total(np.ldexp(w, -e[:, None], out=buf)) / _gauge_inverse(phi, 1.0, "lower"), s_max)
     lo, hi = _bisect(fits, lo, hi, rtol)
+    if ends:
+        upper = out.copy()
+        out[active], upper[active] = np.ldexp(lo, e), np.where(hi < s_max, np.ldexp(hi, e), INF)
+        return out, upper
     out[active] = np.where(hi < s_max, np.ldexp(0.5 * lo + 0.5 * hi, e), INF)
     return out
 

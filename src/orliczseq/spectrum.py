@@ -66,10 +66,11 @@ class CoeffSeq:
         ks = np.asarray(keys)
         if ks.dtype.kind not in "biu":  # floats, Python ints beyond 64 bits, mixed or other objects
             ks = np.array([_as_int(k) for k in keys], dtype=object)
-        # The extremes as Python ints, so the bounds are compared exactly for every dtype.
-        if ks.size and not (-2**63 < int(ks.min()) and int(ks.max()) < 2**63):
+        # The extremes as Python ints, so the bounds are compared exactly for every dtype.  Of int64 keys,
+        # as arithmetic passes, only -2**63 is out of range: the ascending keys below hold it first.
+        if ks.dtype != np.int64 and ks.size and not (-2**63 < int(ks.min()) and int(ks.max()) < 2**63):
             raise ValueError("frequency magnitude must be below 2**63")
-        ks, cs = ks.astype(np.int64), np.asarray(values, dtype=np.complex128)
+        ks, cs = np.asarray(ks, dtype=np.int64), np.asarray(values, dtype=np.complex128)
         if ks.ndim != 1 or ks.shape != cs.shape:
             raise ValueError("frequencies and amplitudes must be aligned 1-d sequences")
         with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects the result
@@ -82,6 +83,8 @@ class CoeffSeq:
                 s = s[np.concatenate(([True], s[1:] != s[:-1]))[:s.size]]
                 acc = np.zeros(s.size, dtype=np.complex128)
                 np.add.at(acc, np.searchsorted(s, ks), cs)
+            if s.size and s[0] == -2**63:
+                raise ValueError("frequency magnitude must be below 2**63")
             if not np.isfinite(np.abs(acc)).all():  # |c| overflows for parts near the double limit
                 raise ValueError("coefficients must be finite")
         keep = acc != 0

@@ -646,3 +646,92 @@ def test_swept_moduli_certified_at_some_deltas_are_the_single_moduli_bit_for_bit
         batch = fracdiff._moduli(members, phi, alpha, deltas, 64, 1e-12)
         for f, got in zip(members, batch):
             assert got.tolist() == [modulus(f, phi, alpha, d, grid=64) for d in deltas]
+
+
+# -- the slope of the shift norm ---------------------------------------------------
+
+
+def _member_rows(f):
+    """(ks, absc, pairs, inv) of f's shift rows as _moduli builds them for a lone member."""
+    ks, cs = f.as_arrays()
+    ks, absc, pairs = orlicz._fold(ks, np.abs(cs))
+    uk, inv = np.unique(np.abs(ks), return_inverse=True)
+    return (ks, absc, pairs, None) if pairs or uk.size == ks.size else (uk, absc, 0, inv)
+
+
+_SLOPE_MEMBERS = {
+    "plain": CoeffSeq({1: 0.8 + 0.3j, 2: -0.5j, 4: 1.1, 5: 0.25, 7: -0.6 + 0.2j}),
+    "folded": CoeffSeq({-6: 0.3, -3: 1.0 - 0.4j, -1: 0.7j, 0: 2.0, 1: -0.7j, 3: 1.0 + 0.4j, 6: 0.3}),
+    "distinct": CoeffSeq({-5: 1.0, -2: 0.3j, 2: 0.7, 3: 1.2, 5: -0.2}),
+}
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("kind", list(_SLOPE_MEMBERS))
+def test_the_shift_norm_slope_matches_central_differences(phi, alpha, kind):
+    # N' from the implicit equation against a 5-point difference of _lux_rows (solved to 1e-14), at shifts
+    # at least 0.05 from every sine zero of the support, on plain, folded and distinct-|k| rows
+    ks, absc, pairs, inv = _member_rows(_SLOPE_MEMBERS[kind])
+    assert (pairs > 0, inv is not None) == {"plain": (False, False), "folded": (True, False),
+                                            "distinct": (False, True)}[kind]
+    kmax = np.abs(_SLOPE_MEMBERS[kind].as_arrays()[0]).max()
+    hs = np.linspace(0.03, 3.1, 200)
+    k = np.arange(1, kmax + 1)
+    gap = np.abs((hs[:, None] * k / (2 * np.pi) + 0.5) % 1.0 - 0.5) * 2 * np.pi / k
+    hs = hs[gap.min(axis=1) >= 0.05][::4]
+    norm, slope, rise, smooth = fracdiff._slopes(hs, ks, absc, alpha, phi, 1e-12, 2.0, inv, pairs)
+    assert not rise.any()
+    zeros = 2 * np.pi / np.abs(ks[ks != 0])
+    nxt = (np.floor(hs[:, None] / zeros) + 1) * zeros - hs[:, None]  # to the next sine zero of each |k|
+    np.testing.assert_allclose(smooth, nxt.min(axis=1), rtol=1e-12)
+    eps = 1e-4
+    at = [orlicz._lux_rows(fracdiff._shift_rows(hs + j * eps, ks, absc, alpha, 2.0, inv), phi, rtol=1e-14, pairs=pairs)
+          for j in (-2, -1, 1, 2)]
+    fd = (at[0] - 8.0 * at[1] + 8.0 * at[2] - at[3]) / (12.0 * eps)
+    assert norm.tolist() == orlicz._lux_rows(fracdiff._shift_rows(hs, ks, absc, alpha, 2.0, inv), phi,
+                                             pairs=pairs).tolist()
+    np.testing.assert_allclose(slope, fd, rtol=1e-8, atol=0.0)
+
+
+# -- the zoom with slopes ------------------------------------------------------------
+
+
+def _sweep_members(seed):
+    """The four probes and one draw of each family, as a sweep's batched _moduli call holds them."""
+    from orliczseq.verify import _PROBES, generator, list_families
+
+    return [f for _, f in _PROBES] + [generator(fam)(np.random.default_rng(seed)) for fam in list_families()]
+
+
+@pytest.mark.parametrize("phi", [P2, exp_minus_one(), power_log(2)], ids=str)
+def test_a_sweep_shaped_batched_modulus_makes_at_most_45_lux_rows_calls(monkeypatch, phi):
+    # the grid and each zoom step make one call per size-class table: the halving zoom took 20 steps, 85
+    # calls here; with slopes the zoom closes its brackets in a few
+    calls, solve = [], fracdiff._lux_rows
+
+    def counted(vals, phi, **kw):
+        calls.append(len(vals))
+        return solve(vals, phi, **kw)
+
+    monkeypatch.setattr(fracdiff, "_lux_rows", counted)
+    fracdiff._moduli(_sweep_members(1), phi, 1.0, 1.0 / np.array([1, 2, 5, 8, 14, 25, 43, 74, 128]), 64, 1e-12)
+    assert len(calls) <= 45
+
+
+def test_an_edge_bracket_with_a_second_hump_in_its_last_cell_finds_it():
+    # a lacunary draw whose grid peaks at delta = 1 under power(2) at alpha = 2, while the last grid cell
+    # holds a hump 2.5e-4 above N(delta); the norm rises into delta, so the rise bound must not end the
+    # zoom there, and the halving path finds the hump
+    from orliczseq.verify import generator
+
+    gen, rng = generator("lacunary"), np.random.default_rng(2)
+    f = [gen(rng) for _ in range(3)][2]
+    ks, cs = f.as_arrays()
+    alpha, delta = 2.0, 1.0
+    grid = orlicz._lux_rows(fracdiff._shift_rows(np.linspace(0.0, delta, 64), ks, np.abs(cs), alpha), P2)
+    dense = orlicz._lux_rows(fracdiff._shift_rows(np.linspace(0.0, delta, 4096), ks, np.abs(cs), alpha), P2)
+    assert grid.argmax() == 63 and dense.max() > grid[63] * (1 + 2e-4)
+    for got in (modulus(f, P2, alpha, delta, grid=64), fracdiff._moduli(_sweep_members(0) + [f], P2, alpha,
+                                                                       [0.5, delta], 64, 1e-12)[-1, 1]):
+        assert dense.max() * (1 - 1e-12) <= got <= dense.max() * (1 + 1e-6)

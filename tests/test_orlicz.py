@@ -577,3 +577,30 @@ def test_folded_rows_match_their_doubled_rows(phi, zero):
         assert folded[4] == doubled[4] == 0.0
     alone = [orlicz._lux_rows(r[None, :], phi, pairs=pairs)[0] for r in half]
     assert orlicz._lux_rows(half, phi, pairs=pairs).tolist() == alone
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lux_rows_ends_bracket_the_closed_form_lp_norm(p):
+    # random, folded and near-limit rows: lo <= ||row||_p <= hi, hi = inf at the clamp, and the midpoint is
+    # the default result bit for bit; the closed form is allowed 4 ulps, as the bracket's ends meet it there
+    rng = np.random.default_rng(63)
+    rows = np.abs(rng.standard_normal((10, 33))) * np.arange(1, 34) ** -rng.uniform(0.0, 3.0, (10, 1))
+    rows[1] *= 1e-300
+    rows[2] *= 1e300
+    rows[3] = np.finfo(float).max * (rng.uniform(size=33) > 0.5)
+    rows[4, 1:] = 0.0
+    rows[5] = 0.0
+    for pairs in (0, 16):
+        w = np.hstack([rows, rows[:, -pairs:]]) if pairs else rows  # the doubled columns, for the closed form
+        top = np.maximum(w.max(axis=1), np.finfo(float).tiny)
+        with np.errstate(over="ignore"):
+            exact = top * ((w / top[:, None]) ** p).sum(axis=1) ** (1 / p)
+        slack = 1 + 4 * np.finfo(float).eps
+        for rtol in (1e-12, 1e-9):
+            lo, hi = orlicz._lux_rows(rows, power(p), rtol=rtol, pairs=pairs, ends=True)
+            assert np.all(lo <= exact * slack) and np.all(exact <= hi * slack)
+            assert np.isinf(hi[3]) and np.isinf(exact[3]) and np.isfinite(lo[3])
+            assert np.all((hi - lo <= rtol * hi) | np.isinf(hi))
+            with np.errstate(over="ignore"):
+                mid = 0.5 * lo + 0.5 * hi
+            assert mid.tolist() == orlicz._lux_rows(rows, power(p), rtol=rtol, pairs=pairs).tolist()

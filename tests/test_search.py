@@ -208,3 +208,59 @@ def test_a_wide_split_solves_a_nan_centre_in_the_first_call_and_a_known_one_neve
     grid = 0.25 + np.arange(1 - m, m) / m
     assert i.tolist() == [0] * (2 * m - 1) + [1] * (2 * m - 2)
     assert pts.tolist() == grid.tolist() + np.delete(grid, m - 1).tolist()
+
+
+# -- the zoom on the slope's sign ----------------------------------------------------
+
+
+def test_with_slopes_a_quadratic_peak_closes_in_two_calls():
+    # the first call takes the halving zoom's points, whose slopes make the interval about the known centre a
+    # cell; the cubic through its ends then lands on the peak
+    peaks = np.array([0.2, -0.15, 0.05])
+    values, calls = _recording(lambda i, x: (-(x - peaks[i]) ** 2, -2.0 * (x - peaks[i])))
+    c, gc = _zoom(values, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], -peaks ** 2, [1e-6, 1e-3, 1e-9])
+    assert len(calls) == 2
+    assert np.all(np.abs(c - peaks) <= 1e-12) and np.all(gc == -(c - peaks) ** 2)
+
+
+@pytest.mark.parametrize("peak", [0.3, 0.01, 0.999, -0.5])
+def test_with_slopes_a_kinked_peak_takes_no_more_calls_than_halving(peak):
+    # -|x - peak| has no slope root to interpolate: every guess falls back to a midpoint, as halving does
+    profile = lambda i, x: -np.abs(x - peak)
+    values, halving = _recording(profile)
+    _zoom(values, [0.0], [1.0], [np.nan], [1e-6])
+    values, calls = _recording(lambda i, x: (profile(i, x), -np.sign(x - peak)))
+    c, gc = _zoom(values, [0.0], [1.0], [np.nan], [1e-6])
+    assert len(calls) <= len(halving) and abs(c[0] - peak) <= 2e-6 and gc[0] == -abs(c[0] - peak)
+
+
+def test_with_slopes_an_edge_bracket_certified_to_rise_closes_in_one_call():
+    # an unsolved centre marks an edge bracket: its best point is its right end, held by the caller
+    values, calls = _recording(lambda i, x: (x, np.ones_like(x), np.ones(x.shape, dtype=bool), 9.0 + 0 * x))
+    c, gc = _zoom(values, [0.0], [1.0], [np.nan], [1e-6])
+    assert len(calls) == 1 and gc[0] == 0.5
+
+
+def test_with_slopes_an_edge_bracket_finds_a_hump_the_certificate_does_not_cover():
+    # x rises to the right end 1, with a hump near 0.78 above it, between the first step's points; nothing is
+    # certified to rise, so the halving zoom's path goes on until its interval is a cell around the hump
+    hump = lambda x: 2.0 * np.exp(-((x - 0.78) / 0.05) ** 2)
+    values, calls = _recording(lambda i, x: (x + hump(x), 1.0 - 2.0 * (x - 0.78) / 0.05 ** 2 * hump(x),
+                                             np.zeros(x.shape, dtype=bool), np.full(x.shape, np.inf)))
+    c, gc = _zoom(values, [0.0], [1.0], [np.nan], [1e-6])
+    xs = np.linspace(-1.0, 1.0, 200001)
+    assert gc[0] >= (xs + hump(xs)).max() - 1e-9 and gc[0] > 1.0
+    assert len(calls) <= 10
+
+
+def test_with_slopes_and_no_smooth_reach_the_zoom_meets_the_halving_zooms_points_bit_for_bit():
+    # a kink at every point (smooth = 0) makes no cell, so the zoom walks the halving zoom's path to its end
+    peaks = np.array([0.3, -0.7, 0.05])
+    profile = lambda i, x: -(x - peaks[i]) ** 2 + 0.01 * np.cos(40.0 * x)
+    values, halving = _recording(profile)
+    want = _zoom(values, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [np.nan, -0.09, np.nan], [1e-6, 1e-3, 1e-9])
+    values, calls = _recording(lambda i, x: (profile(i, x), -2.0 * (x - peaks[i]) - 0.4 * np.sin(40.0 * x),
+                                             np.zeros(x.shape, dtype=bool), 0 * x))
+    got = _zoom(values, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [np.nan, -0.09, np.nan], [1e-6, 1e-3, 1e-9])
+    assert [(i.tolist(), x.tolist()) for i, x in calls] == [(i.tolist(), x.tolist()) for i, x in halving]
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()

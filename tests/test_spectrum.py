@@ -335,3 +335,10 @@ def test_difference_canonicalises_once(monkeypatch):
     assert calls == [4, 2]  # f - g itself, then the expected value
     with pytest.raises(ValueError, match="finite"):
         CoeffSeq({1: 1e308}) - CoeffSeq({1: -1e308})
+
+
+@pytest.mark.parametrize("ks", [[-2**63, 5], [5, -2**63], [3, -2**63, 3], [-2**63]], ids=str)
+def test_from_arrays_rejects_the_int64_minimum_wherever_it_sits(ks):
+    # the only int64 key out of range, caught on the ascending keys, strictly ascending or not
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        CoeffSeq.from_arrays(np.array(ks, dtype=np.int64), np.ones(len(ks)))

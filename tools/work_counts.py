@@ -8,7 +8,9 @@ operations and prints one JSON line per workload: the ``_bisect`` calls made thr
 ``orlicz._bisect`` and their steps (calls of the test), the rows and entries handed to
 ``_lux_rows`` (spies on that name in ``orlicz``, ``fracdiff`` and ``kfunc``, as the tests use; a
 folded row counts its k >= 0 half), of them the modulus's (``modulus_calls`` and ``modulus_rows``:
-the calls and rows ``fracdiff`` hands on), the K scan's rows (``kscan_rows``: those
+the calls and rows ``fracdiff`` hands on; ``zoom_calls``, the ``values`` calls of its zoom, apart from
+its grid call; ``edge_certified``, the brackets whose zoom met a point the slope bound certified to rise
+up to the bracket's end), the K scan's rows (``kscan_rows``: those
 ``_window_norms`` hands on while ``kfunc`` calls it) and the K polish's (``polish_rows``: those
 ``kfunc`` hands on itself, in ``polish_calls`` calls), and the gauge ``eval`` calls and the
 elements they were given.  The gauges are counting copies made with ``dataclasses.replace``:
@@ -86,10 +88,23 @@ def count_round(name, seed):
             return solve(vals, phi, **kw)
         return counted
 
-    solves, window_norms = [m._lux_rows for m in SOLVERS], kfunc._window_norms
+    def zoom_spy(values, *args):
+        def counted(i, pts):
+            counts["zoom_calls"] += 1
+            got = values(i, pts)
+            if isinstance(got, tuple) and len(got) > 2:
+                certified.update(np.asarray(i)[np.asarray(got[2], dtype=bool)].tolist())
+            return got
+        certified = set()
+        try:
+            return zoom(counted, *args)
+        finally:
+            counts["edge_certified"] += len(certified)
+
+    solves, window_norms, zoom = [m._lux_rows for m in SOLVERS], kfunc._window_norms, fracdiff._zoom
     for m, solve in zip(SOLVERS, solves):
         m._lux_rows = rows_spy(solve, m)
-    kfunc._window_norms = scan_spy
+    kfunc._window_norms, fracdiff._zoom = scan_spy, zoom_spy
     orlicz._bisect, orlicz.from_spec = spy, lambda spec: gauge(from_spec(spec), "cli_")
     try:
         with tempfile.TemporaryDirectory() as workdir:
@@ -100,10 +115,11 @@ def count_round(name, seed):
             for op in ops:
                 op.run(gauge)
     finally:
-        orlicz._bisect, orlicz.from_spec, kfunc._window_norms = bisect, from_spec, window_norms
+        orlicz._bisect, orlicz.from_spec, kfunc._window_norms, fracdiff._zoom = bisect, from_spec, window_norms, zoom
         for m, solve in zip(SOLVERS, solves):
             m._lux_rows = solve
-    keys = ("bisect_calls", "bisect_steps", "lux_rows", "lux_entries", "modulus_calls", "modulus_rows", "kscan_rows",
+    keys = ("bisect_calls", "bisect_steps", "lux_rows", "lux_entries", "modulus_calls", "modulus_rows", "zoom_calls",
+            "edge_certified", "kscan_rows",
             "polish_calls", "polish_rows", "eval_calls", "eval_elems", "cli_eval_calls", "cli_eval_elems")
     return {"workload": name, "seed": seed, **{k: counts[k] for k in keys}}
 
