@@ -124,7 +124,7 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     The grid and each zoom step are one batch for all members and deltas, whose brackets are the
     pairs (member, delta), each with its member's row scale and stop width and its own exponent d.
     A certified bracket, whose peak is h* = min(delta, pi/max|k|) (see modulus), solves only its
-    row at h*, in the grid's call, and never enters the zoom.  The zoom (_search._sign_zoom) gets
+    row at h*, in the grid's call, and never enters the zoom.  The zoom (_search._zoom, given slopes) gets
     each point's norm, slope, rise bound and reach to the next sine zero from _slopes: only the
     zoom's rows pay for them, not the grid's.
     A norm depends only on its own row, so a member's moduli do not depend on what shares the batch,

@@ -275,9 +275,9 @@ def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0, ends=False):
     """Luxemburg norms of the rows of a nonnegative 2-d array whose last pairs columns count twice.
 
     Doubling is exact, so a row folded by _fold sums to the same real numbers as the row it halves.
-    Each norm is the midpoint of a bracket lo <= norm <= hi, hi - lo <= rtol hi, exact up to the
-    rounding of the sums of M (about 13 ulps at 8193 entries); with ends, (lo, hi) is returned
-    instead, hi = inf at the clamp.
+    Each norm is the midpoint of a bracket lo <= norm <= hi, hi - lo <= rtol hi (rtol floored at 2**-50),
+    exact up to the rounding of the sums of M (about 13 ulps at 8193 entries); with ends, (lo, hi) is
+    returned instead, hi = inf at the clamp.
     """
     vals = np.asarray(vals, dtype=float)
     out = np.zeros(vals.shape[0])

@@ -33,6 +33,13 @@ def test_norm_example(coeff_file, capsys):
     assert capsys.readouterr().out == "5.0\n"
 
 
+def test_norm_at_tol_zero_prints_the_l2_norm(coeff_file, capsys):
+    # a tolerance below the double spacing still closes every Luxemburg bracket
+    path = coeff_file("f.jsonl", {1: 1.0, 5: 0.5 + 0.2j})
+    assert run(["norm", "--orlicz", P2, "--input", path, "--tol", "0"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(math.hypot(1.0, 0.5, 0.2), rel=1e-10)
+
+
 def test_en_example(coeff_file, capsys):
     path = coeff_file("ones.jsonl", {k: 1.0 for k in range(-3, 4)})
     assert run(["en", "--n", "2", "--orlicz", P2, "--input", path]) == 0

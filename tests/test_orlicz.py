@@ -604,3 +604,16 @@ def test_lux_rows_ends_bracket_the_closed_form_lp_norm(p):
             with np.errstate(over="ignore"):
                 mid = 0.5 * lo + 0.5 * hi
             assert mid.tolist() == orlicz._lux_rows(rows, power(p), rtol=rtol, pairs=pairs).tolist()
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_lux_rows_at_rtol_zero_meet_the_lp_norm_within_4_ulps(p):
+    # below a few ulps no Newton nudge can cross the root: the bisection floors its tolerance there instead
+    # of returning the midpoint of a bracket it could not close
+    rng = np.random.default_rng(64)
+    rows = np.abs(rng.standard_normal((6, 33))) * np.arange(1, 34) ** -rng.uniform(0.0, 3.0, (6, 1))
+    exact = ((rows ** p).sum(axis=1)) ** (1 / p)
+    got = orlicz._lux_rows(rows, power(p), rtol=0.0)
+    assert np.all(np.abs(got - exact) <= 4 * np.spacing(exact))
+    lo, hi = orlicz._lux_rows(np.array([[3.0, 4.0]]), power(2), rtol=0.0, ends=True)
+    assert lo[0] <= 5.0 <= hi[0] and hi[0] - lo[0] <= 4 * np.spacing(5.0)

@@ -264,3 +264,47 @@ def test_with_slopes_and_no_smooth_reach_the_zoom_meets_the_halving_zooms_points
     got = _zoom(values, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [np.nan, -0.09, np.nan], [1e-6, 1e-3, 1e-9])
     assert [(i.tolist(), x.tolist()) for i, x in calls] == [(i.tolist(), x.tolist()) for i, x in halving]
     assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+
+
+def test_with_value_and_slope_only_an_edge_bracket_meets_the_halving_zooms_points_bit_for_bit():
+    # without rise nothing is certified, and a slope of 1 everywhere forms no cell: the walk is the halving zoom's
+    values, halving = _recording(lambda i, x: x)
+    want = _zoom(values, [0.0], [1.0], [np.nan], [1e-6])
+    values, calls = _recording(lambda i, x: (x, np.ones_like(x)))
+    got = _zoom(values, [0.0], [1.0], [np.nan], [1e-6])
+    assert len(calls) == 20
+    assert [(i.tolist(), x.tolist()) for i, x in calls] == [(i.tolist(), x.tolist()) for i, x in halving]
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def test_with_slopes_each_bracket_of_a_batch_meets_the_points_and_gets_the_bits_it_gets_alone():
+    hump = lambda x: 2.0 * np.exp(-((x - 0.78) / 0.05) ** 2)
+    no, inf = lambda x: np.zeros(x.shape, dtype=bool), lambda x: np.full(x.shape, np.inf)
+    profiles = [
+        lambda x: (-(x - 0.2) ** 2, -2.0 * (x - 0.2), no(x), inf(x)),  # an interior peak, which closes as a cell
+        lambda x: (x, np.ones_like(x), np.ones(x.shape, dtype=bool), inf(x)),  # an edge certified to rise
+        lambda x: (x + hump(x), 1.0 - 2.0 * (x - 0.78) / 0.05 ** 2 * hump(x), no(x), inf(x)),  # an edge hump
+        lambda x: (-(x + 0.7) ** 2 + 0.01 * np.cos(40.0 * x), -2.0 * (x + 0.7) - 0.4 * np.sin(40.0 * x), no(x),
+                   0.0 * x),  # a kink at every point
+        lambda x: (-x ** 2, -2.0 * x, no(x), inf(x)),  # never opened: stop = inf
+    ]
+    c, w = np.zeros(5), np.ones(5)
+    gc, stop = np.array([-0.04, np.nan, np.nan, np.nan, np.nan]), np.array([1e-9, 1e-6, 1e-6, 1e-3, np.inf])
+
+    def run(of):  # zoom the brackets of, each with its own profile; returns (c, gc) and the points of each call
+        def profile(i, x):
+            out = [np.zeros(x.shape), np.zeros(x.shape), no(x), np.zeros(x.shape)]
+            for b in np.unique(i):
+                for field, part in zip(out, profiles[of[b]](x[i == b])):
+                    field[i == b] = part
+            return tuple(out)
+
+        values, calls = _recording(profile)
+        return _zoom(values, c[of], w[of], gc[of], stop[of]), calls
+
+    (cs, gcs), calls = run(np.arange(5))
+    for b in range(5):
+        (c1, gc1), alone = run(np.array([b]))
+        assert [x[i == b].tolist() for i, x in calls if np.any(i == b)] == [x.tolist() for _, x in alone]
+        assert cs[b].tobytes() == c1[0].tobytes() and gcs[b].tobytes() == gc1[0].tobytes()
+    assert len(calls) <= 20 and np.isnan(gcs[4]) and abs(cs[0] - 0.2) <= 1e-9 and gcs[2] > 1.0
