@@ -7,6 +7,9 @@ under exp(t) - 1, against 40-48 halvings, and a bracket closed on entry is never
 import numpy as np
 
 _MAX_ITER = 200  # cap on every halving loop: 200 halvings take any bracket far below double precision
+# Floor of every relative tolerance: 4 to 8 ulps of a bracket's top.  A zoom's stop, sqrt(rtol) times a scale,
+# is floored with it too, as at rtol = 0 a zoom would otherwise walk all _MAX_ITER steps.
+_RTOL_FLOOR = 2.0 ** -50
 
 
 def _grow(above):
@@ -29,9 +32,9 @@ def _bisect(above, lo, hi, rtol):
     x to the open side, never twice in a row; any other is clipped to [lo + h, hi - h] and taken if
     the clip moved it at most 2h and it lies within half the step before of x.  Otherwise the
     midpoint is taken, and the next guess is judged against the bracket's width.  rtol is floored at
-    2**-50, 4 to 8 ulps of hi: below about an ulp the nudge cannot move x, and the bracket never closes.
+    _RTOL_FLOOR, 4 to 8 ulps of hi: below about an ulp the nudge cannot move x, and the bracket never closes.
     """
-    rtol = max(rtol, 2.0 ** -50)
+    rtol = max(rtol, _RTOL_FLOOR)
     step = hi - lo  # the step before: a midpoint counts as the whole width
     x = 0.5 * lo + 0.5 * hi
     open_ = step > rtol * hi

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from ._search import _zoom
+from ._search import _RTOL_FLOOR, _zoom
 from .orlicz import _blocks, _fold, _lux_rows, luxemburg_norm
 from .spectrum import CoeffSeq
 
@@ -102,9 +102,12 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
     alpha = 0 returns the plain norm of f.  The shift norm is even and 2 pi-periodic
     in h, so the search runs over [0, min(delta, pi)]: a uniform grid of `grid`
     points, then a zoom on the bracket around the best grid shift (the last cell
-    when that is min(delta, pi)).  The zoom walks the halving zoom's path (solve
-    the midpoints between the bracket's centre and its ends, centre a bracket half
-    as wide on the best of the three) with the norm's exact slope at every point.
+    when that is min(delta, pi)).  The grid is screened (orlicz._lux_rows, peaks):
+    every 8th grid row is solved, and a row one gauge pass proves below the best
+    solved norm is not, so the best grid shift and its norm keep their bits.  The
+    zoom walks the halving zoom's path (solve the midpoints between the bracket's
+    centre and its ends, centre a bracket half as wide on the best of the three)
+    with the norm's exact slope at every point.
     Once the slope is > 0 and < 0 at the ends of a bracket with no sine zero of a
     term inside, the peak is a root of the slope, which a few interpolation steps
     find; in the last cell, a bound on the slope that proves the norm rising up to
@@ -188,11 +191,13 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
             uk, inv = ks[0], None
         tables.append((slot, ks, rows, uk, inv, pairs))
 
-    def norms(i, hs, slopes=False):
+    def norms(i, hs, slopes=False, peaks=None):
         """Shift norms at hs, each for the member of its bracket i; with slopes, _slopes's four arrays, where an
-        edge bracket's points are bounded up to its delta."""
+        edge bracket's points are bounded up to its delta.  peaks, (bracket, point) indices into hs, asks only
+        each bracket's largest norm (orlicz._lux_rows): the others may come back as -inf."""
         m, sc, out = i // n, scale[i, None], np.empty((4, hs.size) if slopes else hs.size)
         ends = np.where(edge[i] & (hs < dd[i]), dd[i], hs) if slopes else None
+        call = np.full(hs.size, -1)  # each point's row in the current _lux_rows call, -1 outside it
         for slot, ks, rows, uk, inv, pairs in tables:
             at = np.flatnonzero(slot[m] >= 0)
             r = slot[m[at]]
@@ -204,7 +209,10 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
                 if slopes:
                     out[:, at[s]] = _slopes(h, k, a, alpha, phi, rtol, sc[at[s]], inv, pairs, ends[at[s]])
                 else:
-                    out[at[s]] = _lux_rows(_shift_rows(h, k, a, alpha, sc[at[s]], inv), phi, rtol=rtol, pairs=pairs)
+                    call[at[s]] = np.arange(h.size)
+                    out[at[s]] = _lux_rows(_shift_rows(h, k, a, alpha, sc[at[s]], inv), phi, rtol=rtol, pairs=pairs,
+                                           peaks=None if peaks is None else call[peaks])
+                    call[at[s]] = -1
         return (out[0], out[1], out[2] > 0, out[3]) if slopes else out
 
     # A certified bracket, delta <= pi/max|k| or a member with one nonzero |k|, peaks at h* = min(delta,
@@ -222,7 +230,7 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     new[1:] = np.any([x[order[1:]] != x[order[:-1]] for x in keys], axis=0)
     run = np.empty(i.size, dtype=int)  # each grid point's key among the distinct ones
     run[order] = np.cumsum(new) - 1
-    g = norms(i[order[new]], keys[0][order[new]])[run].reshape(-1, grid)
+    g = norms(i[order[new]], keys[0][order[new]], peaks=run.reshape(-1, grid))[run].reshape(-1, grid)
     i, step = g.argmax(axis=1), dd / (grid - 1)
     best = g[np.arange(g.shape[0]), i]
     # the bracket c -+ w and its centre's norm gc, unsolved (nan) in the last cell; g[:, 0] = 0 (h = 0)
@@ -231,7 +239,8 @@ def _moduli(f, phi, alpha, deltas, grid, rtol):
     w, gc = np.where(edge, step / 2.0, step), np.where(edge, np.nan, best)
     # Near an interior maximum the norm is quadratic in h on the scale 1 / max|k| of its fastest harmonic,
     # so this pins it to ~rtol; all-zero norms (underflow at a large alpha) and certified brackets need no zoom.
-    stop = np.where((best > 0.0) & ~sure, math.sqrt(rtol) / (2.0 * np.repeat(np.maximum(freqs, 1), n)), np.inf)
+    stop = math.sqrt(max(rtol, _RTOL_FLOOR)) / (2.0 * np.repeat(np.maximum(freqs, 1), n))
+    stop = np.where((best > 0.0) & ~sure, stop, np.inf)
     peak = np.fmax(best, _zoom(lambda b, h: norms(b, h, True), c, w, gc, stop)[1])
     with np.errstate(over="ignore"):  # a modulus beyond the double range is inf
         out = np.where(d > 2200, np.inf, np.ldexp(peak, np.repeat(e, n) + d)).reshape(-1, n)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import _zoom
+from ._search import _RTOL_FLOOR, _zoom
 from .fracdiff import frac_difference
-from .orlicz import _fold, _gauge_inverse, _lux_rows, _window_norms, luxemburg_norm
+from .orlicz import _fold, _gauge_inverse, _lux_rows, _margin, _window_norms, luxemburg_norm
 from .spectrum import CoeffSeq, PsiWeights, _check_band, psi_derivative
 
 __all__ = ["KEstimate", "k_functional", "difference_derivative_bracket"]
@@ -53,7 +53,7 @@ def k_functional(f: CoeffSeq, phi, alpha: float, delta: float, n_band: int | Non
     the full scan's result bit for bit (_scan); ties go to h = 0, then to the
     smallest degree.  Phase two,
     enabled by `polish` unless h = 0 wins, zooms over log mu to half-width
-    sqrt(rtol), in steps as wide as the support's size allows (_polish),
+    sqrt(rtol) (rtol floored at 2**-50), in steps as wide as the support's size allows (_polish),
     along the band shrinkages c_k f_k, c_k = 1 / (1 + (mu |k|**alpha)**q)
     on 0 < |k| <= n_band and c_0 = 1, with q = p / (p - 1) from the elasticity
     p = u M'(u) / M(u) at M(u) = 1, and keeps the smaller of the two values;
@@ -111,7 +111,7 @@ def _scan(f, phi, degrees, deriv_w, dpows, rtol):
     (_window_norms' rows), so every norm solved has the full scan's bits.
     """
     n = degrees.size
-    margin = 1.0 + 8.0 * rtol + 1e-13 if rtol <= 0.5 else np.inf
+    margin = _margin(rtol)
     tails, heads = np.empty(n), np.empty(n)
     todo = solved = np.arange(n) if n * len(f) <= 2 ** 14 else np.unique((n - 1) * np.arange(33) // 32)
     while True:
@@ -156,7 +156,7 @@ def _polish(absc, absk, band, alpha, deriv_w, dpows, phi, rtol, pairs):
     # 40 / q beyond the band's ends every c_k is within e**-40 of 0 or 1
     lo, hi = -la.max() - 40.0 / q, -la.min() + 40.0 / q
     return -_zoom(minus_objective, 0.5 * (lo + hi), 0.5 * (hi - lo), np.full(dpows.size, np.nan),
-                  math.sqrt(rtol), split=max(2, 2 ** 10 // (absc.size + pairs)))[1]
+                  math.sqrt(max(rtol, _RTOL_FLOOR)), split=max(2, 2 ** 10 // (absc.size + pairs)))[1]
 
 
 def difference_derivative_bracket(tau: CoeffSeq, phi, alpha: float, n: int, h: float,

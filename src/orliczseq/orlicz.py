@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._search import _bisect, _grow, _zoom
+from ._search import _RTOL_FLOOR, _bisect, _grow, _zoom
 
 __all__ = [
     "OrliczFunction",
@@ -271,15 +271,69 @@ def _fold(ks, w):
     return ks, w, 0
 
 
-def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0, ends=False):
+def _margin(rtol):
+    """The factor by which a bound must pass a solved norm best to prove it below best, rtol at most 1/2.
+
+    A norm is the midpoint of a bracket within rtol of its root, and the sums of M round by far less than
+    1e-13, so a quantity at least best (1 + 8 rtol + 1e-13) lies above best, and one at most best over that
+    factor below it, neither tied.  Above rtol = 1/2 the factor is inf, and nothing is proved.
+    """
+    return 1.0 + 8.0 * rtol + 1e-13 if rtol <= 0.5 else INF
+
+
+def _sums(x, pairs):
+    """Row sums of x, its last pairs columns counted twice."""
+    if not pairs:
+        return x.sum(axis=1)
+    n1 = x.shape[1] - pairs
+    return x[:, :n1].sum(axis=1) + 2.0 * x[:, n1:].sum(axis=1)
+
+
+_LEAD = 8  # a screened call solves each bracket's points at every _LEAD-th column, and its last point
+
+
+def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0, ends=False, peaks=None):
     """Luxemburg norms of the rows of a nonnegative 2-d array whose last pairs columns count twice.
 
     Doubling is exact, so a row folded by _fold sums to the same real numbers as the row it halves.
     Each norm is the midpoint of a bracket lo <= norm <= hi, hi - lo <= rtol hi (rtol floored at 2**-50),
     exact up to the rounding of the sums of M (about 13 ulps at 8193 entries); with ends, (lo, hi) is
-    returned instead, hi = inf at the clamp.
+    returned instead, hi = inf at the clamp.  A norm depends only on its own row.
+
+    peaks, a (bracket, point) array of row indices (-1 for a point in another call), says that only each
+    bracket's largest norm is needed (not with ends).  Each bracket's points at columns 0, _LEAD, 2 _LEAD, ...
+    and its last point in the call lead: they are solved in full, and best is the bracket's largest.  Every
+    other row gets t, the least best / _margin(rtol) of the brackets that hold it, and one pass of its sum
+    rho(t) = sum_k M(r_k / t).  rho falls as t grows, so rho(t) <= 1 proves its norm at most t: it cannot
+    reach best in any of its brackets (_margin), and it comes back as -inf, unsolved.  The other rows are
+    solved in full.  So every bracket's largest norm, its argmax and every norm returned keep their bits.
     """
     vals = np.asarray(vals, dtype=float)
+    margin = _margin(rtol)
+    if peaks is None or margin == INF:
+        return _lux_solve(vals, phi, rtol, pairs, ends)
+    have = peaks >= 0
+    lead = have & (np.arange(peaks.shape[1]) % _LEAD == 0)
+    lead[np.arange(peaks.shape[0]), peaks.shape[1] - 1 - have[:, ::-1].argmax(axis=1)] |= have.any(axis=1)
+    out, solve = np.full(vals.shape[0], -INF), np.zeros(vals.shape[0], dtype=bool)
+    solve[peaks[lead]] = True
+    out[solve] = _lux_solve(vals[solve], phi, rtol, pairs)
+    best = np.where(lead, out[peaks], -INF).max(axis=1)
+    t = np.full(vals.shape[0], INF)
+    np.minimum.at(t, peaks[have], np.broadcast_to(best[:, None] / margin, peaks.shape)[have])
+    rest = np.flatnonzero(~solve & (t > 0) & (t < INF))  # t = 0 or inf proves nothing
+    u = vals[rest]
+    u /= t[rest, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # a row far above t sums to inf, and is solved
+        below = _sums(np.asarray(phi.eval(u), dtype=float), pairs) <= 1.0
+    solve = ~solve
+    solve[rest[below]] = False
+    out[solve] = _lux_solve(vals[solve], phi, rtol, pairs)
+    return out
+
+
+def _lux_solve(vals, phi, rtol, pairs, ends=False):
+    """_lux_rows without peaks: every row solved."""
     out = np.zeros(vals.shape[0])
     row_max = vals.max(axis=1, initial=0.0)
     active = row_max > 0
@@ -287,10 +341,6 @@ def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0, ends=False):
         return (out, out.copy()) if ends else out
     w = vals if active.all() else vals[active]
     buf = np.empty_like(w)  # w / a, reused by every step: fresh pages per step cost more than the step
-    n1 = w.shape[1] - pairs
-
-    def total(x):  # row sums, the last pairs columns twice
-        return x[:, :n1].sum(axis=1) + 2.0 * x[:, n1:].sum(axis=1) if pairs else x.sum(axis=1)
 
     # The solve runs on s = a / 2**e, 2**e the power of two that puts the row's largest entry in [1, 2).
     # The scaling is exact, and in s every bracket end and Newton guess stays within a factor of about
@@ -305,17 +355,17 @@ def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0, ends=False):
         # convexity, so the step is at most |log rho|.  A row whose rho underflows to 0 gets no guess (nan).
         # s >= lo keeps every u_k <= M^-1(1), so no term passes ~1 and nothing overflows.
         u = np.divide(w, np.ldexp(s, e)[:, None], out=buf)
-        rho = total(np.asarray(phi.eval(u), dtype=float))
+        rho = _sums(np.asarray(phi.eval(u), dtype=float), pairs)
         du = np.asarray(phi.right_derivative(u), dtype=float)
         du *= u
         log_rho = np.log(np.where(rho > 0, rho, np.nan))
-        return rho <= 1.0, s * np.exp(rho * log_rho / total(du))
+        return rho <= 1.0, s * np.exp(rho * log_rho / _sums(du, pairs))
 
     # Provable bracket, hi / lo <= nnz: at lo the largest term alone reaches 1; at hi each w_k / a is at
     # most u = M^-1(1) and they sum to u, so the chord M(x) <= x M(u) / u keeps the sum <= M(u) <= 1.
     # A root beyond the double range leaves hi at the clamp and is inf.
     lo = np.minimum(np.ldexp(top, -e) / _gauge_inverse(phi, 1.0, "upper"), s_max)
-    hi = np.minimum(total(np.ldexp(w, -e[:, None], out=buf)) / _gauge_inverse(phi, 1.0, "lower"), s_max)
+    hi = np.minimum(_sums(np.ldexp(w, -e[:, None], out=buf), pairs) / _gauge_inverse(phi, 1.0, "lower"), s_max)
     lo, hi = _bisect(fits, lo, hi, rtol)
     if ends:
         upper = out.copy()
@@ -376,9 +426,10 @@ def orlicz_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
     minimum over kappa > 0 of (1 + sum M(kappa b_k)) / kappa, a ratio that falls then rises (by
     convexity) and exceeds 2 >= 2 ||b||_Lux >= ||b||_O below kappa = 1/2, as L >= ||f||_Lux by
     the chord bound in _lux_rows.  One zoom over log kappa in [log 1/2, log 1e18] to half-width
-    sqrt(rtol) finds it to about rtol; overflow makes the ratio +inf.  Gauges of linear growth
-    reach their infimum at kappa -> inf; the value at the cap is within ~1e-18 L of it.  L is
-    clamped to the double range (still >= a finite ||f||_Lux), and a norm beyond it is inf.
+    sqrt(rtol) (rtol floored at 2**-50) finds it to about rtol; overflow makes the ratio +inf.
+    Gauges of linear growth reach their infimum at kappa -> inf; the value at the cap is within
+    ~1e-18 L of it.  L is clamped to the double range (still >= a finite ||f||_Lux), and a norm
+    beyond it is inf.
     """
     a = np.abs(f.as_arrays()[1])
     if a.size == 0:
@@ -392,7 +443,7 @@ def orlicz_norm(phi: OrliczFunction, f, *, rtol: float = 1e-12) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         scale = min(a.sum() / _gauge_inverse(phi, 1.0, "lower"), _DBL_MAX)
         b = a / scale
-        neg = _zoom(minus_ratio, 0.5 * (lo + hi), 0.5 * (hi - lo), [np.nan], math.sqrt(rtol))[1]
+        neg = _zoom(minus_ratio, 0.5 * (lo + hi), 0.5 * (hi - lo), [np.nan], math.sqrt(max(rtol, _RTOL_FLOOR)))[1]
         return float(-neg[0] * scale)
 
 

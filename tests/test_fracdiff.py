@@ -574,6 +574,74 @@ def test_a_member_that_does_not_fold_keeps_its_full_shift_rows(monkeypatch, phi,
         assert np.array_equal(batches[0][0], fracdiff._shift_rows(np.linspace(0.0, 0.5, 64), ks, absc, alpha))
 
 
+# -- the screened grid ---------------------------------------------------------------
+
+
+def _screen_member(kind, rng, band=24):
+    """|c_k| of a flat, decaying or sparse member on the full band."""
+    ks = np.arange(-band, band + 1)
+    if kind == "flat":
+        return ks, rng.uniform(0.5, 1.5, ks.size)
+    if kind == "decaying":
+        return ks, np.abs(rng.standard_normal(ks.size)) / (1.0 + np.abs(ks))
+    return ks, np.where(rng.random(ks.size) < 0.15, np.abs(rng.standard_normal(ks.size)), 0.0)
+
+
+@given(st.sampled_from(["flat", "decaying", "sparse"]), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([P2, exp_minus_one(), power_log(2)]), st.sampled_from([0.0, 1e-12, 1e-6, 0.3, 0.6]),
+       st.sampled_from([0.3, 1.0, 3.0]), st.sampled_from([0.5, 1.0, 2.0]), st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_screened_grid_rows_keep_each_brackets_argmax_and_max_bit_for_bit(kind, seed, phi, rtol, delta, alpha,
+                                                                           calls):
+    ks, absc = _screen_member(kind, np.random.default_rng(seed))
+    # deltas d, d / 2 and d / 4 share grid points, each distinct shift one row, as in _moduli; the rows are
+    # split into consecutive calls as blocks split them, a point in another call marked -1
+    hs = np.linspace(0.0, delta / 2.0 ** np.arange(3), 65, axis=1)
+    shifts, peaks = np.unique(hs, return_inverse=True)
+    peaks = peaks.reshape(hs.shape)
+    assert shifts.size < hs.size
+    rows = fracdiff._shift_rows(shifts, ks, absc, alpha)
+    full, got = orlicz._lux_rows(rows, phi, rtol=rtol), np.empty(shifts.size)
+    for part in np.array_split(np.arange(shifts.size), calls):
+        local = np.full(shifts.size, -1)
+        local[part] = np.arange(part.size)
+        got[part] = orlicz._lux_rows(rows[part], phi, rtol=rtol, peaks=local[peaks])
+    for b in peaks:
+        assert got[b].argmax() == full[b].argmax() and got[b].max() == full[b].max()
+        assert np.all(full[b][got[b] == -np.inf] < full[b].max())
+    solved = got > -np.inf
+    assert got[solved].tolist() == full[solved].tolist()
+    assert solved.all() or rtol <= 0.5
+
+
+def test_screening_rows_far_above_the_threshold_raises_no_warning():
+    # rows 1 and 2 are not leaders (columns 0 and 3 lead) and lie far above the leaders' best: expm1 of
+    # their entries over t overflows, so their pass sums to inf, and they are solved in full
+    rows = np.array([[1.0, 0.5], [1e3, 1e3], [2e3, 0.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = orlicz._lux_rows(rows, exp_minus_one(), rtol=1e-12, peaks=np.array([[0, 1, 2, 3]]))
+    assert got.tolist() == orlicz._lux_rows(rows, exp_minus_one(), rtol=1e-12).tolist()
+
+
+def test_a_modulus_at_rtol_zero_zooms_in_a_few_steps(monkeypatch):
+    # at rtol = 0 the zoom's stop sqrt(rtol) / (2 max|k|) was 0, and this member's zoom took all 200 steps;
+    # the floored tolerance ends it in a few, near the default tolerance's value
+    calls, zoom = [], fracdiff._zoom
+
+    def counted(values, *args):
+        def spied(*a):
+            calls.append(a)
+            return values(*a)
+        return zoom(spied, *args)
+
+    monkeypatch.setattr(fracdiff, "_zoom", counted)
+    f = _band(40, 5)
+    got = modulus(f, P2, 1.0, 1.0, rtol=0.0)
+    assert 1 <= len(calls) <= 10
+    assert got == pytest.approx(modulus(f, P2, 1.0, 1.0), rel=1e-12, abs=0.0)
+
+
 # -- certified peaks ---------------------------------------------------------------
 
 

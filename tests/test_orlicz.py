@@ -617,3 +617,29 @@ def test_lux_rows_at_rtol_zero_meet_the_lp_norm_within_4_ulps(p):
     assert np.all(np.abs(got - exact) <= 4 * np.spacing(exact))
     lo, hi = orlicz._lux_rows(np.array([[3.0, 4.0]]), power(2), rtol=0.0, ends=True)
     assert lo[0] <= 5.0 <= hi[0] and hi[0] - lo[0] <= 4 * np.spacing(5.0)
+
+
+def test_the_dual_norm_and_k_polish_zooms_at_rtol_zero_end_in_a_few_steps(monkeypatch):
+    # at rtol = 0 their stop, sqrt(rtol), was 0, and each zoom took all 200 steps; the floored tolerance
+    # ends them about where rtol = 1e-12 does
+    calls = []
+
+    def counting(zoom):
+        def counted(values, *args, **kw):
+            def spied(*a):
+                calls.append(a)
+                return values(*a)
+            return zoom(spied, *args, **kw)
+        return counted
+
+    monkeypatch.setattr(orlicz, "_zoom", counting(orlicz._zoom))
+    monkeypatch.setattr(kfunc, "_zoom", counting(kfunc._zoom))
+    rng = np.random.default_rng(5)
+    ks = np.arange(-40, 41)
+    f = CoeffSeq.from_arrays(ks, (rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)) / (1 + abs(ks)))
+    for solve, budget in ((lambda r: orlicz_norm(power(2), f, rtol=r), 40),
+                          (lambda r: k_functional(f, power(2), 1.0, 0.1, 4, rtol=r).value, 20)):
+        calls.clear()
+        got = solve(0.0)
+        assert 1 <= len(calls) <= budget
+        assert got == pytest.approx(solve(1e-12), rel=1e-12, abs=0.0)

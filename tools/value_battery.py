@@ -26,6 +26,9 @@ Recorded values, keyed ``kind|gauge|sequence|...``:
   the rates model |k|**-1.5 on 0 < |k| <= 1024 (real-valued, so folded) at alpha in {1, 1.5}, grid 64
   and delta = 2**-j for j in 3..7, whose grids share points; and one on
   ``{1: 1, 97: 0.5, 301: 0.2}`` at alpha = 1, grid 128 and deltas [1, pi, 4], which share the grid of pi;
+* ``modulus`` also at the CLI's grid 512 and delta = 3, alpha = 1, on the flat bands ``flat{512,1024}-s0``
+  (|c_k| uniform in [0.5, 1.5), random phases), whose shift norms vary little, so that many grid rows
+  come near the best, under ``power(2)``, ``exp_minus_one`` and ``power_log(2)`` at rtol in {1e-12, 1e-6, 0.3};
 * ``k``, ``kdeg``: the K-functional value and minimizer_degree at alpha = 1, delta in {0.02, 0.3},
   polished and not, for sequences of band at most 128; ``k`` also polished at both deltas by one
   ``_k_functionals`` call (``polish=batched``); and unpolished for ``band1024-s{0,1,2}`` under
@@ -75,6 +78,8 @@ ALPHAS, DELTAS = (0.5, 1.0, 2.0), (0.01, 0.1, 0.5, 1.0, 3.0)
 K_DELTAS, K_BAND = (0.02, 0.3), 128
 # unpolished K at band 1024, where the scan leaves most radii unsolved
 WIDE_K_GAUGES, WIDE_K_DELTAS = ("power(2)", "exp_minus_one", "power_log(2)"), (1e-3, 0.02, 0.3)
+# moduli at the CLI's grid on flat bands, where many grid rows come near the best
+FLAT_GAUGES, FLAT_RTOLS = ("power(2)", "exp_minus_one", "power_log(2)"), (1e-12, 1e-6, 0.3)
 
 
 def _draw(band, seed):
@@ -83,6 +88,13 @@ def _draw(band, seed):
     ks = np.arange(-band, band + 1)
     return CoeffSeq.from_arrays(ks, (rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size))
                                 / (1.0 + np.abs(ks)))
+
+
+def _flat(band, seed):
+    """Full band -band..band with |c_k| uniform in [0.5, 1.5) and uniform random phases."""
+    rng = np.random.default_rng([band, seed, 2])
+    ks = np.arange(-band, band + 1)
+    return CoeffSeq.from_arrays(ks, rng.uniform(0.5, 1.5, ks.size) * np.exp(2j * np.pi * rng.random(ks.size)))
 
 
 def _real_draw(band, seed):
@@ -263,6 +275,11 @@ def battery():
             for d, v in zip(RATES_DELTAS, fracdiff._moduli(_rates_model(1.0, 1024), phi, a, RATES_DELTAS, 64,
                                                            1e-12).tolist()):
                 out[f"modulus|{gname}|rates(beta=1,band=1024)|alpha={a}|deltas=rates|grid=64|delta={d}"] = v
+        if gname in FLAT_GAUGES:
+            for band in (512, 1024):
+                for rtol in FLAT_RTOLS:
+                    key = f"modulus|{gname}|flat{band}-s0|alpha=1.0|delta=3.0|grid=512|rtol={rtol}"
+                    out[key] = fracdiff.modulus(_flat(band, 0), phi, 1.0, 3.0, grid=512, rtol=rtol)
         sname = PAST_PI_SEQS[0]
         for d, v in zip((1.0, math.pi, 4.0), fracdiff._moduli(seqs[sname], phi, 1.0, [1.0, math.pi, 4.0], 128,
                                                               1e-12).tolist()):

@@ -5,7 +5,9 @@
 
 For each workload of ``perfbench/workloads.py`` (imported as it is) this runs one round of its
 operations and prints one JSON line per workload: the ``_bisect`` calls made through
-``orlicz._bisect`` and their steps (calls of the test), the rows and entries handed to
+``orlicz._bisect``, their steps (calls of the test) and the rows they enter with (``bisect_rows``:
+the brackets of each call, one for a scalar; a grid row that ``_lux_rows`` screens out never enters
+one), the rows and entries handed to
 ``_lux_rows`` (spies on that name in ``orlicz``, ``fracdiff`` and ``kfunc``, as the tests use; a
 folded row counts its k >= 0 half), of them the modulus's (``modulus_calls`` and ``modulus_rows``:
 the calls and rows ``fracdiff`` hands on; ``zoom_calls``, the ``values`` calls of its zoom, apart from
@@ -58,6 +60,7 @@ def count_round(name, seed):
 
     def spy(above, lo, hi, rtol):
         counts["bisect_calls"] += 1
+        counts["bisect_rows"] += int(np.size(lo))
 
         def step(x):
             counts["bisect_steps"] += 1
@@ -118,8 +121,8 @@ def count_round(name, seed):
         orlicz._bisect, orlicz.from_spec, kfunc._window_norms, fracdiff._zoom = bisect, from_spec, window_norms, zoom
         for m, solve in zip(SOLVERS, solves):
             m._lux_rows = solve
-    keys = ("bisect_calls", "bisect_steps", "lux_rows", "lux_entries", "modulus_calls", "modulus_rows", "zoom_calls",
-            "edge_certified", "kscan_rows",
+    keys = ("bisect_calls", "bisect_steps", "bisect_rows", "lux_rows", "lux_entries", "modulus_calls", "modulus_rows",
+            "zoom_calls", "edge_certified", "kscan_rows",
             "polish_calls", "polish_rows", "eval_calls", "eval_elems", "cli_eval_calls", "cli_eval_elems")
     return {"workload": name, "seed": seed, **{k: counts[k] for k in keys}}
 
