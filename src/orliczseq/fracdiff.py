@@ -103,9 +103,8 @@ def modulus(f: CoeffSeq, phi, alpha: float, delta: float, grid: int = 512,
     in h, so the search runs over [0, min(delta, pi)]: a uniform grid of `grid`
     points, then a zoom on the bracket around the best grid shift (the last cell
     when that is min(delta, pi)).  The grid is screened (orlicz._lux_rows, peaks):
-    in a solve of at least 2**14 entries every 8th grid row is solved, and a row
-    one gauge pass proves below the best solved norm is not, so the best grid
-    shift and its norm keep their bits.  The
+    every 8th grid row is solved, and a row one gauge pass proves below the best
+    solved norm is not, so the best grid shift and its norm keep their bits.  The
     zoom walks the halving zoom's path (solve the midpoints between the bracket's
     centre and its ends, centre a bracket half as wide on the best of the three)
     with the norm's exact slope at every point.

@@ -290,9 +290,6 @@ def _sums(x, pairs):
 
 
 _LEAD = 8  # a screened call solves each bracket's points at every _LEAD-th column, and its last point
-# A call of fewer entries is not screened: the solve of its survivors costs a second _bisect, whose fixed cost
-# per step passes what the screen saves on rows this narrow (a 152 x 33 grid call: 0.21 ms solved, 0.37 screened).
-_SCREEN_ENTRIES = 2 ** 14
 
 
 def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0, ends=False, peaks=None):
@@ -304,9 +301,8 @@ def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0, ends=False, peaks=None):
     returned instead, hi = inf at the clamp.  A norm depends only on its own row.
 
     peaks, a (bracket, point) array of row indices (-1 for a point in another call), says that only each
-    bracket's largest norm is needed (not with ends); a call of fewer than _SCREEN_ENTRIES entries is
-    solved in full.  Each bracket's points at columns 0, _LEAD, 2 _LEAD, ... and its last point in the
-    call lead: they are solved in full, and best is the bracket's largest.  Every
+    bracket's largest norm is needed (not with ends).  Each bracket's points at columns 0, _LEAD, 2 _LEAD, ...
+    and its last point in the call lead: they are solved in full, and best is the bracket's largest.  Every
     other row gets t, the least best / _margin(rtol) of the brackets that hold it, and one pass of its sum
     rho(t) = sum_k M(r_k / t).  rho falls as t grows, so rho(t) <= 1 proves its norm at most t: it cannot
     reach best in any of its brackets (_margin), and it comes back as -inf, unsolved.  The other rows are
@@ -314,7 +310,7 @@ def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0, ends=False, peaks=None):
     """
     vals = np.asarray(vals, dtype=float)
     margin = _margin(rtol)
-    if peaks is None or margin == INF or vals.size < _SCREEN_ENTRIES:
+    if peaks is None or margin == INF:
         return _lux_solve(vals, phi, rtol, pairs, ends)
     have = peaks >= 0
     lead = have & (np.arange(peaks.shape[1]) % _LEAD == 0)
@@ -322,6 +318,8 @@ def _lux_rows(vals, phi, *, rtol=1e-12, pairs=0, ends=False, peaks=None):
     out, solve = np.full(vals.shape[0], -INF), np.zeros(vals.shape[0], dtype=bool)
     solve[peaks[lead]] = True
     out[solve] = _lux_solve(vals[solve], phi, rtol, pairs)
+    if solve.all():  # every row leads: nothing is left to screen
+        return out
     best = np.where(lead, out[peaks], -INF).max(axis=1)
     t = np.full(vals.shape[0], INF)
     np.minimum.at(t, peaks[have], np.broadcast_to(best[:, None] / margin, peaks.shape)[have])

@@ -602,12 +602,10 @@ def test_screened_grid_rows_keep_each_brackets_argmax_and_max_bit_for_bit(kind, 
     assert shifts.size < hs.size
     rows = fracdiff._shift_rows(shifts, ks, absc, alpha)
     full, got = orlicz._lux_rows(rows, phi, rtol=rtol), np.empty(shifts.size)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orlicz, "_SCREEN_ENTRIES", 0)  # screen calls of any size
-        for part in np.array_split(np.arange(shifts.size), calls):
-            local = np.full(shifts.size, -1)
-            local[part] = np.arange(part.size)
-            got[part] = orlicz._lux_rows(rows[part], phi, rtol=rtol, peaks=local[peaks])
+    for part in np.array_split(np.arange(shifts.size), calls):
+        local = np.full(shifts.size, -1)
+        local[part] = np.arange(part.size)
+        got[part] = orlicz._lux_rows(rows[part], phi, rtol=rtol, peaks=local[peaks])
     for b in peaks:
         assert got[b].argmax() == full[b].argmax() and got[b].max() == full[b].max()
         assert np.all(full[b][got[b] == -np.inf] < full[b].max())
@@ -616,10 +614,9 @@ def test_screened_grid_rows_keep_each_brackets_argmax_and_max_bit_for_bit(kind, 
     assert solved.all() or rtol <= 0.5
 
 
-def test_screening_rows_far_above_the_threshold_raises_no_warning(monkeypatch):
+def test_screening_rows_far_above_the_threshold_raises_no_warning():
     # rows 1 and 2 are not leaders (columns 0 and 3 lead) and lie far above the leaders' best: expm1 of
     # their entries over t overflows, so their pass sums to inf, and they are solved in full
-    monkeypatch.setattr(orlicz, "_SCREEN_ENTRIES", 0)
     rows = np.array([[1.0, 0.5], [1e3, 1e3], [2e3, 0.0], [1.0, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -627,9 +624,9 @@ def test_screening_rows_far_above_the_threshold_raises_no_warning(monkeypatch):
     assert got.tolist() == orlicz._lux_rows(rows, exp_minus_one(), rtol=1e-12).tolist()
 
 
-def test_a_wide_grid_call_leaves_rows_unsolved_and_keeps_the_modulus(monkeypatch):
-    # a band-256 member at grid 64 hands the kernel 64 x 513 entries, past _SCREEN_ENTRIES: most of its grid
-    # rows get only the gauge pass, and the modulus has the bits of the unscreened grid's
+def test_a_screened_grid_leaves_rows_unsolved_and_keeps_the_modulus(monkeypatch):
+    # a band-256 member at grid 64 hands the kernel one call of 64 x 513 entries: most of its grid rows get
+    # only the gauge pass, and the modulus has the bits of the unscreened grid's
     solved, grid, solve, lux = [], [], orlicz._lux_solve, fracdiff._lux_rows
 
     def counted(vals, *args):
@@ -649,7 +646,7 @@ def test_a_wide_grid_call_leaves_rows_unsolved_and_keeps_the_modulus(monkeypatch
     got = modulus(f, P2, 1.0, 3.0, grid=64)
     (shape, rows), = grid
     assert shape == (64, 513) and rows < 32
-    monkeypatch.setattr(orlicz, "_SCREEN_ENTRIES", np.inf)
+    monkeypatch.setattr(fracdiff, "_lux_rows", lambda vals, phi, peaks=None, **kw: lux(vals, phi, **kw))
     assert modulus(f, P2, 1.0, 3.0, grid=64) == got
 
 
